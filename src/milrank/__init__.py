@@ -32,7 +32,15 @@ from .features import (
     segment_bounds,
     write_features,
 )
-from .loss import BagLossBreakdown, LossParams, batch_loss, pair_loss, pair_loss_grad
+from .loss import (
+    BagLossBreakdown,
+    LossParams,
+    RankingLoss,
+    batch_loss,
+    pair_loss,
+    pair_loss_grad,
+    ranking_loss_and_grad,
+)
 from .metrics import (
     ManifestEvaluation,
     RocCurve,
@@ -91,6 +99,7 @@ __all__ = [
     "MlpModel",
     "NonFiniteLossError",
     "NotFittedError",
+    "RankingLoss",
     "RocCurve",
     "ScoreTimeline",
     "SynthSpec",
@@ -120,6 +129,7 @@ __all__ = [
     "pair_loss",
     "pair_loss_grad",
     "partition_segments",
+    "ranking_loss_and_grad",
     "roc_auc",
     "sample_batch",
     "save_checkpoint",

@@ -225,7 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", type=Path, default=None,
                         help="optional key=value config file; flags override it")
     common.add_argument("--threads", type=int, default=None,
-                        help="cap on BLAS threads (default 1 for reproducibility)")
+                        help="cap on BLAS threads, overriding OMP_NUM_THREADS and the other "
+                             "thread variables (default: keep them, else 1, for "
+                             "reproducibility); a caller that has already imported numpy "
+                             "in the same process cannot re-pin BLAS with it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", parents=[common], help="generate a synthetic dataset")

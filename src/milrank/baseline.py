@@ -111,5 +111,5 @@ def load_linear(path) -> LinearModel:
         doc = json.loads(path.read_text(encoding="utf-8"))
         return LinearModel(w=np.array(doc["w"], dtype=np.float64), b=float(doc["b"]),
                            c_reg=float(doc["c_reg"]))
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise FormatError(path, "document", f"invalid baseline checkpoint: {e}") from None

@@ -2,7 +2,9 @@
 
 This module stays free of numpy imports: the ``--threads`` cap has to be
 exported to the BLAS environment variables before numpy first loads, so
-the actual command implementations are imported inside ``main``.
+the actual command implementations are imported inside ``main``.  An
+explicit ``--threads`` overwrites those variables; without it, values
+already set in the environment are kept and unset ones default to 1.
 """
 
 from __future__ import annotations
@@ -18,26 +20,33 @@ THREAD_ENV_VARS = (
 )
 
 
-def _peek_threads(argv: list[str]) -> int:
+def _threads_flag(argv: list[str]) -> str | None:
+    """The raw ``--threads`` value, or None when the flag is absent."""
     for i, token in enumerate(argv):
         if token == "--threads" and i + 1 < len(argv):
-            try:
-                return max(1, int(argv[i + 1]))
-            except ValueError:
-                return 1
+            return argv[i + 1]
         if token.startswith("--threads="):
-            try:
-                return max(1, int(token.split("=", 1)[1]))
-            except ValueError:
-                return 1
-    return 1
+            return token.split("=", 1)[1]
+    return None
+
+
+def _peek_threads(argv: list[str]) -> int:
+    value = _threads_flag(argv)
+    try:
+        return max(1, int(value)) if value is not None else 1
+    except ValueError:
+        return 1
 
 
 def main(argv: list[str] | None = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
-    threads = _peek_threads(args)
-    for var in THREAD_ENV_VARS:
-        os.environ.setdefault(var, str(threads))
+    if _threads_flag(args) is None:
+        for var in THREAD_ENV_VARS:
+            os.environ.setdefault(var, "1")
+    else:
+        threads = str(_peek_threads(args))
+        for var in THREAD_ENV_VARS:
+            os.environ[var] = threads
     from ._commands import run
     return run(args)
 

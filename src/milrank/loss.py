@@ -49,50 +49,88 @@ class BagLossBreakdown:
         return self.hinge + self.smoothness + self.sparsity
 
 
-def _check_pair(pos_scores, neg_scores) -> tuple[np.ndarray, np.ndarray]:
-    p = check_score_vector(pos_scores, name="pos_scores")
-    q = check_score_vector(neg_scores, name="neg_scores")
-    if p.shape[0] != q.shape[0]:
-        raise ValueError(f"score vectors differ in length: {p.shape[0]} vs {q.shape[0]}")
-    if p.shape[0] < 2:
+@dataclass(frozen=True)
+class RankingLoss:
+    """Loss terms of each pair in a batch and their score subgradients.
+
+    Row ``j`` of every array belongs to pair ``j``; ``grad_pos[j]`` and
+    ``grad_neg[j]`` are the subgradients of ``totals[j]`` with respect to
+    that pair's positive and negative score rows.
+    """
+
+    hinge: np.ndarray  # (P,)
+    smoothness: np.ndarray  # (P,)
+    sparsity: np.ndarray  # (P,)
+    argmax_pos: np.ndarray  # (P,) int
+    argmax_neg: np.ndarray  # (P,) int
+    grad_pos: np.ndarray  # (P, m)
+    grad_neg: np.ndarray  # (P, m)
+
+    @property
+    def totals(self) -> np.ndarray:
+        return self.hinge + self.smoothness + self.sparsity
+
+
+def _check_batch(S_pos, S_neg) -> tuple[np.ndarray, np.ndarray]:
+    p = np.asarray(S_pos, dtype=np.float64)
+    q = np.asarray(S_neg, dtype=np.float64)
+    if p.ndim != 2 or p.shape != q.shape or p.shape[0] < 1:
+        raise ValueError(f"score matrices must be non-empty, 2-D and of one shape, "
+                         f"got {p.shape} and {q.shape}")
+    if p.shape[1] < 2:
         raise ValueError("bags need at least 2 segments")
+    check_score_vector(np.concatenate((p, q)).ravel(), name="scores")
     return p, q
 
 
-def pair_loss(pos_scores, neg_scores, params: LossParams) -> BagLossBreakdown:
-    """Loss terms for one positive/negative bag pair.
+def ranking_loss_and_grad(S_pos, S_neg, params: LossParams) -> RankingLoss:
+    """Loss terms and score subgradients for P pairs at once.
 
-    Argmax ties break toward the lowest segment index.
+    ``S_pos`` and ``S_neg`` are (P, m) score matrices whose row ``j`` holds
+    the positive and negative bag of pair ``j``.  Argmax ties break toward
+    the lowest segment index.  When a pair's hinge is active only its two
+    argmax entries receive the hinge gradient; the smoothness term
+    contributes the one-sided discrete Laplacian of the positive scores, and
+    sparsity a constant.
     """
-    p, q = _check_pair(pos_scores, neg_scores)
-    i_pos = int(np.argmax(p))
-    i_neg = int(np.argmax(q))
-    hinge = max(0.0, params.margin - p[i_pos] + q[i_neg])
-    diffs = p[:-1] - p[1:]
-    smoothness = params.smoothness_weight * float(diffs @ diffs)
-    sparsity = params.sparsity_weight * float(p.sum())
-    return BagLossBreakdown(hinge=float(hinge), smoothness=smoothness, sparsity=sparsity,
-                            argmax_pos=i_pos, argmax_neg=i_neg)
+    p, q = _check_batch(S_pos, S_neg)
+    rows = np.arange(p.shape[0])
+    i_pos = np.argmax(p, axis=1)
+    i_neg = np.argmax(q, axis=1)
+    hinge = np.maximum(params.margin - p[rows, i_pos] + q[rows, i_neg], 0.0)
+    steps = np.diff(p, axis=1)
+    smoothness = params.smoothness_weight * (steps * steps).sum(axis=1)
+    sparsity = params.sparsity_weight * p.sum(axis=1)
+
+    grad_pos = np.full(p.shape, params.sparsity_weight)
+    grad_neg = np.zeros(q.shape)
+    smooth_grad = 2.0 * params.smoothness_weight * steps
+    grad_pos[:, :-1] -= smooth_grad
+    grad_pos[:, 1:] += smooth_grad
+    active = (hinge > 0.0).astype(np.float64)
+    grad_pos[rows, i_pos] -= active
+    grad_neg[rows, i_neg] = active
+    return RankingLoss(hinge=hinge, smoothness=smoothness, sparsity=sparsity,
+                       argmax_pos=i_pos, argmax_neg=i_neg, grad_pos=grad_pos, grad_neg=grad_neg)
+
+
+def _single_pair(pos_scores, neg_scores, params: LossParams) -> RankingLoss:
+    return ranking_loss_and_grad(np.asarray(pos_scores, dtype=np.float64)[None],
+                                 np.asarray(neg_scores, dtype=np.float64)[None], params)
+
+
+def pair_loss(pos_scores, neg_scores, params: LossParams) -> BagLossBreakdown:
+    """Loss terms for one positive/negative bag pair (one row of ``ranking_loss_and_grad``)."""
+    out = _single_pair(pos_scores, neg_scores, params)
+    return BagLossBreakdown(hinge=float(out.hinge[0]), smoothness=float(out.smoothness[0]),
+                            sparsity=float(out.sparsity[0]),
+                            argmax_pos=int(out.argmax_pos[0]), argmax_neg=int(out.argmax_neg[0]))
 
 
 def pair_loss_grad(pos_scores, neg_scores, params: LossParams) -> tuple[np.ndarray, np.ndarray]:
-    """Subgradient of ``pair_loss(...).total`` with respect to both score vectors.
-
-    When the hinge is active only the two argmax entries receive its
-    gradient; the smoothness term contributes the one-sided discrete
-    Laplacian of the positive scores, and sparsity a constant.
-    """
-    p, q = _check_pair(pos_scores, neg_scores)
-    breakdown = pair_loss(p, q, params)
-    dpos = np.full(p.shape[0], params.sparsity_weight, dtype=np.float64)
-    dneg = np.zeros(q.shape[0], dtype=np.float64)
-    diffs = p[:-1] - p[1:]
-    dpos[:-1] += 2.0 * params.smoothness_weight * diffs
-    dpos[1:] -= 2.0 * params.smoothness_weight * diffs
-    if breakdown.hinge > 0.0:
-        dpos[breakdown.argmax_pos] -= 1.0
-        dneg[breakdown.argmax_neg] += 1.0
-    return dpos, dneg
+    """Subgradient of ``pair_loss(...).total`` with respect to both score vectors."""
+    out = _single_pair(pos_scores, neg_scores, params)
+    return out.grad_pos[0], out.grad_neg[0]
 
 
 def weight_decay_term(model: MlpModel, params: LossParams) -> float:
@@ -116,10 +154,12 @@ def weight_decay_grads(model: MlpModel, params: LossParams) -> dict[str, np.ndar
 
 
 def batch_loss(pairs, params: LossParams, model: MlpModel) -> float:
-    """Mean pair total over a batch plus the weight-decay term."""
+    """Mean pair total over a batch plus the weight-decay term.
+
+    Every pair's score vectors must have the same length.
+    """
     if not pairs:
         raise ValueError("batch_loss requires at least one pair")
-    total = 0.0
-    for pos_scores, neg_scores in pairs:
-        total += pair_loss(pos_scores, neg_scores, params).total
-    return total / len(pairs) + weight_decay_term(model, params)
+    S_pos, S_neg = zip(*pairs)
+    totals = ranking_loss_and_grad(S_pos, S_neg, params).totals
+    return float(totals.mean()) + weight_decay_term(model, params)

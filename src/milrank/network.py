@@ -9,8 +9,9 @@ Maps a segment feature vector to an anomaly score in (0, 1):
 Dropout uses the inverted convention (kept units scaled by 1/keep_prob)
 and is active only in train mode, so eval needs no rescaling.  Gradients
 are computed by hand-written reverse mode over the cached forward trace.
-Dropout masks come from a Philox counter-based generator (see rng.py), so
-a given ``rng_seed`` yields the same masks on every platform.
+Dropout masks are thresholded 32-bit words of a Philox counter-based
+generator (see rng.py), so a given ``rng_seed`` yields the same masks on
+every platform.
 """
 
 from __future__ import annotations
@@ -71,7 +72,12 @@ class MlpModel:
 
 @dataclass
 class ForwardTrace:
-    """Cached activations and dropout masks from one forward pass."""
+    """Cached activations and dropout masks from one forward pass.
+
+    ``gate1`` is the layer-1 relu derivative times the scaled dropout mask,
+    and ``gate2`` the scaled layer-2 mask, so backward applies each site in
+    one multiply; both are None where that site's mask is.
+    """
 
     inputs: np.ndarray
     z1: np.ndarray
@@ -82,6 +88,8 @@ class ForwardTrace:
     mask1: np.ndarray | None
     mask2: np.ndarray | None
     keep_prob: float
+    gate1: np.ndarray | None = None
+    gate2: np.ndarray | None = None
 
     @property
     def batch_size(self) -> int:
@@ -130,12 +138,21 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def dropout_masks(model: MlpModel, n_rows: int, rng_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the keep masks both dropout sites would use for ``n_rows`` inputs."""
-    rng = derive_rng(rng_seed, STREAM_DROPOUT)
+    """Draw the keep masks both dropout sites would use for ``n_rows`` inputs.
+
+    One Philox stream keyed by ``rng_seed`` yields 32-bit words, read
+    little-endian from its 64-bit outputs; a unit is kept when its word is
+    below round(keep * 2**32).  The layer-1 mask takes the first
+    ``n_rows * hidden1`` words in row-major order, the layer-2 mask the next
+    ``n_rows * hidden2``.
+    """
     keep = 1.0 - model.dropout_rate
-    mask1 = rng.random((n_rows, model.hidden1)) < keep
-    mask2 = rng.random((n_rows, model.hidden2)) < keep
-    return mask1, mask2
+    n1 = n_rows * model.hidden1
+    n2 = n_rows * model.hidden2
+    bits = derive_rng(rng_seed, STREAM_DROPOUT).bit_generator
+    words = bits.random_raw((n1 + n2 + 1) // 2).astype("<u8", copy=False).view("<u4")
+    kept = words[:n1 + n2] < round(keep * 2**32)
+    return kept[:n1].reshape(n_rows, model.hidden1), kept[n1:].reshape(n_rows, model.hidden2)
 
 
 def forward(model: MlpModel, segments, mode: str = "eval",
@@ -167,22 +184,28 @@ def forward_with_masks(model: MlpModel, X: np.ndarray,
                        mask1: np.ndarray | None, mask2: np.ndarray | None) -> tuple[np.ndarray, ForwardTrace]:
     """Forward pass with caller-supplied masks (None disables a dropout site).
 
-    The trainer uses this to run one stacked pass over a whole batch while
-    keeping each bag's masks identical to what a per-bag ``forward`` call
-    with that bag's seed would draw.
+    The trainer uses this to run one stacked pass over a whole batch with
+    the masks of one ``dropout_masks`` draw for all of its rows.  A masked
+    site applies relu, mask and 1/keep scaling as one multiply by its gate.
     """
     keep = 1.0 - model.dropout_rate
-    z1 = X @ model.w1.T + model.b1
-    h1 = np.maximum(z1, 0.0)
-    if mask1 is not None:
-        h1 = h1 * mask1 / keep
-    h2 = h1 @ model.w2.T + model.b2
+    z1 = X @ model.w1.T
+    z1 += model.b1
+    gate1 = gate2 = None
+    if mask1 is None:
+        h1 = np.maximum(z1, 0.0)
+    else:
+        gate1 = ((z1 > 0.0) & mask1) * (1.0 / keep)
+        h1 = z1 * gate1
+    h2 = h1 @ model.w2.T
+    h2 += model.b2
     if mask2 is not None:
-        h2 = h2 * mask2 / keep
+        gate2 = mask2 * (1.0 / keep)
+        h2 *= gate2
     logits = (h2 @ model.w3.T + model.b3)[:, 0]
     scores = sigmoid(logits)
-    trace = ForwardTrace(inputs=X, z1=z1, h1=h1, h2=h2, logits=logits,
-                         scores=scores, mask1=mask1, mask2=mask2, keep_prob=keep)
+    trace = ForwardTrace(inputs=X, z1=z1, h1=h1, h2=h2, logits=logits, scores=scores,
+                         mask1=mask1, mask2=mask2, keep_prob=keep, gate1=gate1, gate2=gate2)
     return scores, trace
 
 
@@ -203,14 +226,12 @@ def backward(model: MlpModel, trace: ForwardTrace, dloss_dscores) -> dict[str, n
     dw3 = (dlogits[None, :] @ trace.h2)
     db3 = np.array([dlogits.sum()])
     dh2 = dlogits[:, None] @ model.w3
-    if trace.mask2 is not None:
-        dh2 = dh2 * trace.mask2 / trace.keep_prob
+    if trace.gate2 is not None:
+        dh2 *= trace.gate2
     dw2 = dh2.T @ trace.h1
     db2 = dh2.sum(axis=0)
-    dh1 = dh2 @ model.w2
-    if trace.mask1 is not None:
-        dh1 = dh1 * trace.mask1 / trace.keep_prob
-    dz1 = dh1 * (trace.z1 > 0.0)
+    dz1 = dh2 @ model.w2
+    dz1 *= trace.gate1 if trace.gate1 is not None else trace.z1 > 0.0
     dw1 = dz1.T @ trace.inputs
     db1 = dz1.sum(axis=0)
     return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2, "w3": dw3, "b3": db3}
@@ -234,6 +255,8 @@ def load_checkpoint(path) -> MlpModel:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise FormatError(path, f"line {e.lineno}", f"invalid JSON: {e.msg}") from None
+    if not isinstance(doc, dict):
+        raise FormatError(path, "document", "expected a JSON object")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise FormatError(path, "field 'version'", f"unsupported version {doc.get('version')!r}")
     try:
@@ -243,15 +266,23 @@ def load_checkpoint(path) -> MlpModel:
         params = doc["params"]
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(path, "header", f"missing or malformed field: {e}") from None
+    if not isinstance(params, dict):
+        raise FormatError(path, "field 'params'", "expected a JSON object")
     shapes = {"w1": (h1, dim), "b1": (h1,), "w2": (h2, h1), "b2": (h2,), "w3": (1, h2), "b3": (1,)}
     arrays = {}
     for name, shape in shapes.items():
-        flat = params.get(name)
         want = int(np.prod(shape))
-        if flat is None or len(flat) != want:
-            raise FormatError(path, f"field 'params.{name}'", f"expected {want} values")
-        arrays[name] = np.array(flat, dtype=np.float64).reshape(shape)
-    return MlpModel(dropout_rate=dropout_rate, **arrays)
+        try:
+            flat = np.array(params.get(name), dtype=np.float64)
+        except (TypeError, ValueError):
+            flat = None
+        if flat is None or flat.shape != (want,):
+            raise FormatError(path, f"field 'params.{name}'", f"expected {want} numbers")
+        arrays[name] = flat.reshape(shape)
+    try:
+        return MlpModel(dropout_rate=dropout_rate, **arrays)
+    except ValueError as e:
+        raise FormatError(path, "params", str(e)) from None
 
 
 def clone_with_params(model: MlpModel, params: dict[str, np.ndarray]) -> MlpModel:

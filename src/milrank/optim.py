@@ -1,8 +1,10 @@
 """Adagrad training loop over randomly paired positive/negative bags.
 
 Each iteration samples ``batch_pos`` positive and ``batch_neg`` negative
-bags without replacement (with replacement across iterations), pairs them
-one-to-one, runs a single stacked forward pass in train mode, and
+bags without replacement (with replacement across iterations) and pairs
+them one-to-one.  It draws one pair of dropout masks for all 2P bags,
+runs a single stacked forward pass in train mode, evaluates the ranking
+loss and its score gradient on the (2P, m) score matrix at once, and
 back-propagates the mean pair loss plus weight decay through the network.
 Everything is keyed off integer seeds, so a run is a pure function of its
 inputs: identical config and data give bit-identical checkpoints and logs
@@ -18,7 +20,7 @@ import numpy as np
 
 from .exceptions import DataError, NonFiniteLossError
 from .features import Bag, DatasetManifest, load_bags
-from .loss import LossParams, pair_loss, pair_loss_grad, weight_decay_grads, weight_decay_term
+from .loss import LossParams, ranking_loss_and_grad, weight_decay_grads, weight_decay_term
 from .network import (
     MlpModel,
     backward,
@@ -153,9 +155,14 @@ class TrainingLog:
         Path(path).write_text(self.to_probe_csv(), encoding="utf-8")
 
 
-def dropout_seed(cfg_seed: int, iteration: int, slot: int) -> int:
-    """Mask seed for one bag: slot 0..P-1 are positives, P..2P-1 negatives."""
-    return mix_to_seed(cfg_seed, iteration, slot)
+def dropout_seed(cfg_seed: int, iteration: int) -> int:
+    """Mask seed of one iteration.
+
+    One ``dropout_masks`` stream per iteration covers the whole stacked
+    batch: rows of positive bag j come first, at rows j*m..(j+1)*m-1, and
+    negative bag j follows at rows (P+j)*m..(P+j+1)*m-1.
+    """
+    return mix_to_seed(cfg_seed, iteration)
 
 
 def _check_bags(bags: list[Bag], cfg: TrainConfig, dim: int) -> None:
@@ -195,24 +202,17 @@ def train_on_bags(pos_bags: list[Bag], neg_bags: list[Bag], cfg: TrainConfig,
 
         mask1 = mask2 = None
         if cfg.dropout_rate > 0.0:
-            per_slot = [dropout_masks(model, m, dropout_seed(cfg.seed, it, slot))
-                        for slot in range(2 * P)]
-            mask1 = np.concatenate([pair[0] for pair in per_slot])
-            mask2 = np.concatenate([pair[1] for pair in per_slot])
+            mask1, mask2 = dropout_masks(model, 2 * P * m, dropout_seed(cfg.seed, it))
         scores, trace = forward_with_masks(model, X, mask1, mask2)
         S = scores.reshape(2 * P, m)
 
-        breakdowns = [pair_loss(S[j], S[P + j], lp) for j in range(P)]
+        terms = ranking_loss_and_grad(S[:P], S[P:], lp)
         reg = weight_decay_term(model, lp)
-        loss_value = sum(b.total for b in breakdowns) / P + reg
+        loss_value = terms.totals.sum() / P + reg
         if not np.isfinite(loss_value):
             raise NonFiniteLossError(f"non-finite loss at iteration {it}")
 
-        dscores = np.zeros(2 * P * m)
-        for j in range(P):
-            dpos, dneg = pair_loss_grad(S[j], S[P + j], lp)
-            dscores[j * m:(j + 1) * m] = dpos / P
-            dscores[(P + j) * m:(P + j + 1) * m] = dneg / P
+        dscores = np.concatenate((terms.grad_pos, terms.grad_neg)).ravel() / P
         grads = backward(model, trace, dscores)
         for name, extra in weight_decay_grads(model, lp).items():
             grads[name] += extra
@@ -221,9 +221,9 @@ def train_on_bags(pos_bags: list[Bag], neg_bags: list[Bag], cfg: TrainConfig,
         log.rows.append((
             it,
             float(loss_value),
-            float(np.mean([b.hinge for b in breakdowns])),
-            float(np.mean([b.smoothness for b in breakdowns])),
-            float(np.mean([b.sparsity for b in breakdowns])),
+            float(terms.hinge.mean()),
+            float(terms.smoothness.mean()),
+            float(terms.sparsity.mean()),
             float(reg),
         ))
         if cfg.snapshot_every and it % cfg.snapshot_every == 0:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -152,6 +153,22 @@ class TestScore:
         assert main(["score", "--checkpoint", str(tmp_path / "nope.json"),
                      "--features", str(feature_path), "--out", str(tmp_path / "s")]) == 3
 
+    @pytest.mark.parametrize("doc", [
+        [1, 2, 3],
+        {"version": 1, "dim": 8, "widths": [4, 2], "dropout_rate": 0.6, "params": [1.0]},
+        {"version": 1, "dim": 8, "widths": [4, 2], "dropout_rate": 0.6,
+         "params": {"w1": 5, "b1": [], "w2": [], "b2": [], "w3": [], "b3": []}},
+        {"version": 1, "dim": 1, "widths": [1, 1], "dropout_rate": 1.5,
+         "params": {"w1": [0.0], "b1": [0.0], "w2": [0.0], "b2": [0.0], "w3": [0.0], "b3": [0.0]}},
+    ])
+    def test_malformed_checkpoint_is_format_error(self, dataset, tmp_path, capsys, doc):
+        ckpt = tmp_path / "bad.json"
+        ckpt.write_text(json.dumps(doc))
+        feature_path = next((dataset / "features").glob("*.feat"))
+        assert main(["score", "--checkpoint", str(ckpt), "--features", str(feature_path),
+                     "--out", str(tmp_path / "s")]) == 3
+        assert "error:" in capsys.readouterr().err
+
     def test_matches_library_scores(self, dataset, tmp_path):
         ckpt = tmp_path / "m.json"
         model = init_model(8, seed=4, hidden1=16, hidden2=4)
@@ -214,6 +231,18 @@ class TestBaselineCommands:
         assert (out / "roc.csv").is_file()
 
 
+class TestBaselineCheckpoint:
+    @pytest.mark.parametrize("field, value", [("w", ["a"]), ("b", "x"), ("c_reg", [1.0])])
+    def test_malformed_value_is_format_error(self, dataset, tmp_path, field, value):
+        doc = {"w": [0.0] * 8, "b": 0.0, "c_reg": 1.0}
+        doc[field] = value
+        model_path = tmp_path / "baseline.json"
+        model_path.write_text(json.dumps(doc))
+        assert main(["baseline-eval", "--model", str(model_path),
+                     "--manifest", str(dataset / "manifest_test.txt"),
+                     "--segments", "8", "--out", str(tmp_path / "e")]) == 3
+
+
 class TestThreadPeek:
     def test_threads_flag_parsed(self):
         from milrank.cli import _peek_threads
@@ -221,3 +250,22 @@ class TestThreadPeek:
         assert _peek_threads(["train", "--threads=2"]) == 2
         assert _peek_threads(["train"]) == 1
         assert _peek_threads(["--threads", "junk"]) == 1
+
+    @pytest.fixture
+    def clean_thread_env(self, monkeypatch):
+        from milrank.cli import THREAD_ENV_VARS
+        for var in THREAD_ENV_VARS:
+            monkeypatch.delenv(var, raising=False)
+        return THREAD_ENV_VARS
+
+    def test_explicit_flag_overrides_preset_env(self, clean_thread_env, monkeypatch, tmp_path):
+        monkeypatch.setenv("OMP_NUM_THREADS", "7")
+        main(["ingest-check", "--manifest", str(tmp_path / "none.txt"), "--threads", "3"])
+        assert {var: os.environ[var] for var in clean_thread_env} == \
+            {var: "3" for var in clean_thread_env}
+
+    def test_preset_env_kept_without_flag(self, clean_thread_env, monkeypatch, tmp_path):
+        monkeypatch.setenv("OMP_NUM_THREADS", "7")
+        main(["ingest-check", "--manifest", str(tmp_path / "none.txt")])
+        assert os.environ["OMP_NUM_THREADS"] == "7"
+        assert all(os.environ[var] == "1" for var in clean_thread_env[1:])

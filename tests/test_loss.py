@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from loss_oracle import oracle_pair
 
 from milrank.loss import (
     BagLossBreakdown,
@@ -7,6 +8,7 @@ from milrank.loss import (
     batch_loss,
     pair_loss,
     pair_loss_grad,
+    ranking_loss_and_grad,
     weight_decay_term,
 )
 from milrank.network import init_model
@@ -135,6 +137,81 @@ class TestPairLossGrad:
                     else:
                         fd = (pair_loss(p, up, params).total - pair_loss(p, down, params).total) / (2 * h)
                     assert abs(grad[i] - fd) < 1e-6
+
+
+def score_matrices(rng, P, m):
+    """Random (P, m) score matrices with exact argmax ties planted in some
+    rows and perfectly separated (inactive-hinge) pairs in others."""
+    S_pos = rng.uniform(0, 1, (P, m))
+    S_neg = rng.uniform(0, 1, (P, m))
+    for j in range(0, P, 3):  # tie: a second entry equals the row maximum
+        for S in (S_pos, S_neg):
+            top = int(np.argmax(S[j]))
+            S[j, (top + 1 + int(rng.integers(0, m - 1))) % m] = S[j, top]
+    for j in range(1, P, 4):  # hinge inactive: max p - max q >= margin
+        S_pos[j, int(rng.integers(0, m))] = 1.0
+        S_neg[j] = 0.0
+    return S_pos, S_neg
+
+
+class TestRankingLossAndGrad:
+    def test_matches_per_pair_oracle(self):
+        rng = np.random.default_rng(11)
+        inactive = active = 0
+        for trial in range(200):
+            P = int(rng.integers(1, 12))
+            m = int(rng.integers(2, 40))
+            params = LossParams(smoothness_weight=rng.uniform(0, 0.5),
+                                sparsity_weight=rng.uniform(0, 0.5),
+                                margin=rng.uniform(0.1, 1.5))
+            S_pos, S_neg = score_matrices(rng, P, m)
+            out = ranking_loss_and_grad(S_pos, S_neg, params)
+            for j in range(P):
+                ref = oracle_pair(S_pos[j], S_neg[j], params)
+                assert abs(out.hinge[j] - ref.hinge) <= 1e-12
+                assert abs(out.smoothness[j] - ref.smoothness) <= 1e-12
+                assert abs(out.sparsity[j] - ref.sparsity) <= 1e-12
+                assert abs(out.totals[j] - ref.total) <= 1e-12
+                assert out.argmax_pos[j] == ref.argmax_pos
+                assert out.argmax_neg[j] == ref.argmax_neg
+                assert np.max(np.abs(out.grad_pos[j] - ref.dpos)) <= 1e-12
+                assert np.max(np.abs(out.grad_neg[j] - ref.dneg)) <= 1e-12
+                inactive += ref.hinge == 0.0
+                active += ref.hinge > 0.0
+        assert inactive > 50 and active > 50
+
+    def test_ties_break_to_lowest_index_per_row(self):
+        S_pos = np.array([[0.2, 0.9, 0.9, 0.1], [0.8, 0.8, 0.8, 0.8]])
+        S_neg = np.array([[0.3, 0.3, 0.1, 0.3], [0.1, 0.5, 0.2, 0.5]])
+        out = ranking_loss_and_grad(S_pos, S_neg, LossParams())
+        assert out.argmax_pos.tolist() == [1, 0]
+        assert out.argmax_neg.tolist() == [0, 1]
+
+    def test_pair_wrappers_are_rows_of_the_batch(self):
+        rng = np.random.default_rng(12)
+        S_pos, S_neg = score_matrices(rng, 7, 9)
+        params = LossParams(smoothness_weight=0.1, sparsity_weight=0.05)
+        out = ranking_loss_and_grad(S_pos, S_neg, params)
+        for j in range(7):
+            one = pair_loss(S_pos[j], S_neg[j], params)
+            assert (one.hinge, one.smoothness, one.sparsity, one.argmax_pos, one.argmax_neg) == \
+                (out.hinge[j], out.smoothness[j], out.sparsity[j], out.argmax_pos[j], out.argmax_neg[j])
+            dpos, dneg = pair_loss_grad(S_pos[j], S_neg[j], params)
+            assert np.array_equal(dpos, out.grad_pos[j])
+            assert np.array_equal(dneg, out.grad_neg[j])
+
+    @pytest.mark.parametrize("S_pos, S_neg", [
+        (np.full((2, 3), 0.5), np.full((2, 4), 0.5)),  # shapes differ
+        (np.full((2, 3), 0.5), np.full((3, 3), 0.5)),
+        (np.full(3, 0.5), np.full(3, 0.5)),  # not 2-D
+        (np.full((2, 1), 0.5), np.full((2, 1), 0.5)),  # one segment
+        (np.full((0, 3), 0.5), np.full((0, 3), 0.5)),  # no pairs
+        (np.full((2, 3), 0.5), np.array([[0.5, 1.5, 0.5], [0.5, 0.5, 0.5]])),
+        (np.array([[0.5, np.nan, 0.5]]), np.full((1, 3), 0.5)),
+    ])
+    def test_malformed_batches_rejected(self, S_pos, S_neg):
+        with pytest.raises(ValueError):
+            ranking_loss_and_grad(S_pos, S_neg, LossParams())
 
 
 class TestBatchLoss:

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 import milrank.optim as optim_module
+from loss_oracle import oracle_batch
 from milrank.exceptions import DataError, NonFiniteLossError
 from milrank.features import Bag
-from milrank.loss import LossParams
-from milrank.network import init_model
+from milrank.loss import LossParams, weight_decay_grads, weight_decay_term
+from milrank.network import backward, dropout_masks, forward_with_masks, init_model
 from milrank.optim import (
     AdagradState,
     TrainConfig,
     adagrad_step,
+    dropout_seed,
     sample_batch,
     sample_pair_indices,
     train_on_bags,
@@ -210,6 +212,82 @@ class TestTrainLoop:
         pos, _ = toy_bags(4, 0)
         with pytest.raises(DataError):
             train_on_bags(pos, [], toy_config())
+
+
+def reference_run(pos_bags, neg_bags, cfg):
+    """Today's training step written as a per-pair loop over ``oracle_batch``,
+    with the masks of the same ``dropout_masks`` draw as the trainer."""
+    model = init_model(pos_bags[0].segments.shape[1], cfg.seed, cfg.hidden1, cfg.hidden2,
+                       cfg.dropout_rate)
+    state = AdagradState.for_model(model, cfg.learning_rate, cfg.adagrad_epsilon)
+    lp = cfg.loss_params
+    P, m = cfg.batch_pos, cfg.segments_per_bag
+    rows = []
+    for it in range(1, cfg.iterations + 1):
+        pos_idx, neg_idx = sample_pair_indices(len(pos_bags), len(neg_bags), cfg, it)
+        X = np.concatenate([pos_bags[i].segments for i in pos_idx]
+                           + [neg_bags[j].segments for j in neg_idx])
+        mask1, mask2 = dropout_masks(model, 2 * P * m, dropout_seed(cfg.seed, it))
+        scores, trace = forward_with_masks(model, X, mask1, mask2)
+        pairs, dscores = oracle_batch(scores.reshape(2 * P, m), lp)
+        reg = weight_decay_term(model, lp)
+        loss = sum(pair.total for pair in pairs) / P + reg
+        grads = backward(model, trace, dscores)
+        for name, extra in weight_decay_grads(model, lp).items():
+            grads[name] += extra
+        model, state = adagrad_step(model, grads, state)
+        rows.append((it, loss, np.mean([pair.hinge for pair in pairs]),
+                     np.mean([pair.smoothness for pair in pairs]),
+                     np.mean([pair.sparsity for pair in pairs]), reg))
+    return model, rows
+
+
+class TestVectorisedStep:
+    @pytest.mark.parametrize("overrides", [
+        dict(iterations=1, batch_pos=10, batch_neg=10, segments_per_bag=32, hidden1=512,
+             hidden2=32, dropout_rate=0.6),
+        dict(iterations=4, batch_pos=3, batch_neg=3, segments_per_bag=5, hidden1=16, hidden2=4,
+             dropout_rate=0.5, loss_params=LossParams(smoothness_weight=0.2, sparsity_weight=0.1,
+                                                     margin=0.3)),
+    ])
+    def test_matches_per_pair_reference(self, overrides):
+        m = overrides["segments_per_bag"]
+        pos, neg = toy_bags(12, 12, seed=4, m=m, dim=32)
+        cfg = toy_config(**overrides)
+        model, log = train_on_bags(pos, neg, cfg)
+        ref_model, ref_rows = reference_run(pos, neg, cfg)
+        assert len(log.rows) == len(ref_rows)
+        for row, ref in zip(log.rows, ref_rows):
+            assert row[0] == ref[0]
+            assert np.max(np.abs(np.array(row[1:]) - np.array(ref[1:]))) <= 1e-12
+        for name, arr in model.params().items():
+            assert np.max(np.abs(arr - getattr(ref_model, name))) <= 1e-12
+
+    def test_one_mask_draw_per_iteration(self, monkeypatch):
+        pos, neg = toy_bags(4, 4)
+        cfg = toy_config(iterations=3)
+        calls = []
+        real = optim_module.dropout_masks
+
+        def counted(model, n_rows, rng_seed):
+            calls.append((n_rows, rng_seed))
+            return real(model, n_rows, rng_seed)
+
+        monkeypatch.setattr(optim_module, "dropout_masks", counted)
+        train_on_bags(pos, neg, cfg)
+        rows = 2 * cfg.batch_pos * cfg.segments_per_bag
+        assert calls == [(rows, dropout_seed(cfg.seed, it)) for it in (1, 2, 3)]
+
+    def test_keep_rate_within_four_sigma(self):
+        model = init_model(4, seed=0, hidden1=512, hidden2=32, dropout_rate=0.6)
+        mask1, mask2 = dropout_masks(model, 2000, rng_seed=dropout_seed(5, 1))
+        draws = np.concatenate([mask1.ravel(), mask2.ravel()])
+        assert draws.size >= 10**6
+        keep = 0.4
+        sigma = math.sqrt(keep * (1.0 - keep) / draws.size)
+        assert abs(draws.mean() - keep) <= 4.0 * sigma
+        for mask in (mask1, mask2):  # both sites, not just the pooled draw
+            assert abs(mask.mean() - keep) <= 4.0 * math.sqrt(keep * (1.0 - keep) / mask.size)
 
 
 class TestTrainingLogCsv:
