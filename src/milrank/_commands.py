@@ -2,17 +2,21 @@
 
 Exit codes are stable: 0 success, 2 usage or bad input data, 3 I/O or
 file-format failure, 4 non-finite loss, 5 dimensionality mismatch,
-6 metric undefined.  Every option can also come from an optional
-``key=value`` config file (``--config``); explicit flags win.
+6 metric undefined (``EXIT_CODES`` maps the exceptions).  The settings of
+``synth``, ``train`` and ``baseline-train`` can also come from an optional
+``key=value`` config file (``--config``) that uses the flag names as keys;
+explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .baseline import load_linear, save_linear, score_linear, train_linear
+from .baseline import FIT_DEFAULTS, load_linear, save_linear, score_linear, train_linear
 from .exceptions import (
     DataError,
     DimensionMismatchError,
@@ -20,9 +24,8 @@ from .exceptions import (
     MetricError,
     NonFiniteLossError,
 )
-from .features import feature_format_for, load_features, load_manifest
-from .loss import LossParams
-from .metrics import evaluate_manifest, score_video, write_roc_csv, write_timeline_csv
+from .features import DEFAULT_SEGMENTS, load_features, load_manifest
+from .metrics import entry_annotation, evaluate_manifest, score_video, write_roc_csv, write_timeline_csv
 from .network import load_checkpoint, save_checkpoint
 from .optim import TrainConfig, train
 from .synthetic import SynthSpec, generate
@@ -33,6 +36,63 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 EXIT_SHAPE = 5
 EXIT_METRIC = 6
+
+# The first class an exception is an instance of gives its exit code, so a
+# subclass must come before its base (DimensionMismatchError is a ValueError).
+EXIT_CODES = (
+    (FormatError, EXIT_IO),
+    (OSError, EXIT_IO),
+    (NonFiniteLossError, EXIT_NUMERIC),
+    (DimensionMismatchError, EXIT_SHAPE),
+    (MetricError, EXIT_METRIC),
+    (DataError, EXIT_USAGE),
+    (ValueError, EXIT_USAGE),
+)
+
+# Settings a command takes from a flag or a config-file key of the same name:
+# (flag, the setting names it sets, help).  Types and defaults come from the
+# settings' defaults, so the dataclasses and fit_linear stay their one source.
+TRAIN_FLAGS = (
+    ("iters", ("iterations",), "training iterations"),
+    ("seed", ("seed",), "seed of initialisation, pair sampling and dropout"),
+    ("batch", ("batch_pos", "batch_neg"), "bags per class per batch"),
+    ("segments", ("segments_per_bag",), "segments per bag"),
+    ("lr", ("learning_rate",), "Adagrad learning rate"),
+    ("epsilon", ("adagrad_epsilon",), "Adagrad epsilon"),
+    ("lambda1", ("smoothness_weight",), "smoothness weight"),
+    ("lambda2", ("sparsity_weight",), "sparsity weight"),
+    ("weight-decay", ("weight_decay",), "weight-decay coefficient"),
+    ("margin", ("margin",), "ranking hinge margin"),
+    ("dropout", ("dropout_rate",), "dropout rate"),
+    ("hidden1", ("hidden1",), "first hidden layer width"),
+    ("hidden2", ("hidden2",), "second hidden layer width"),
+    ("snapshot-every", ("snapshot_every",), "checkpoint and probe-score interval, 0 for none"),
+    ("probe", ("probe_video_id",),
+     "probe video id for score snapshots (default: the first positive video)"),
+)
+TRAIN_DEFAULTS = TrainConfig.defaults()
+
+SYNTH_FLAGS = (
+    ("pos", ("n_pos_videos",), "positive video count"),
+    ("neg", ("n_neg_videos",), "negative video count"),
+    ("dim", ("dim",), "feature dimensionality"),
+    ("clips", ("clips_per_video",), "clips per video"),
+    ("anomaly-fraction", ("anomaly_fraction",), "share of a positive video's clips that is anomalous"),
+    ("separation", ("separation",), "shift of anomalous clips along the anomaly direction"),
+    ("noise-sigma", ("noise_sigma",), "standard deviation of the clip noise"),
+    ("seed", ("seed",), "generator seed"),
+    ("test-pos", ("test_pos",), "extra held-out positives written to manifest_test.txt"),
+    ("test-neg", ("test_neg",), "extra held-out negatives written to manifest_test.txt"),
+)
+SYNTH_DEFAULTS = {**{f.name: f.default for f in fields(SynthSpec)},
+                  **{name: inspect.signature(generate).parameters[name].default
+                     for name in ("test_pos", "test_neg")}}
+
+BASELINE_FLAGS = (
+    ("c-reg", ("c_reg",), "weight of the mean hinge against 0.5 ||w||^2"),
+    ("epochs", ("epochs",), "full-batch subgradient epochs"),
+    ("lr", ("learning_rate",), "subgradient step size"),
+)
 
 
 def _parse_config_file(path: Path) -> dict[str, str]:
@@ -48,37 +108,38 @@ def _parse_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-class _Options:
-    """Resolves each option as: explicit flag > config file > default."""
+def _flag_type(default):
+    return str if default is None else type(default)
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = _parse_config_file(args.config) if getattr(args, "config", None) else {}
 
-    def get(self, name: str, cast, default):
-        flag_value = getattr(self.args, name.replace("-", "_"), None)
-        if flag_value is not None:
-            return flag_value
-        if name in self.config:
-            return cast(self.config[name])
-        return default
+def _add_setting_flags(parser: argparse.ArgumentParser, flags, defaults: dict) -> None:
+    for flag, names, text in flags:
+        default = defaults[names[0]]
+        if default is not None:
+            text = f"{text} (default {default})"
+        parser.add_argument(f"--{flag}", type=_flag_type(default), default=None, help=text)
+
+
+def _settings(args, flags, defaults: dict) -> dict:
+    """Settings given by flag or config file (the flag wins), by setting name.
+
+    Settings given neither way are left out, so the callee's defaults apply.
+    """
+    config = _parse_config_file(args.config) if args.config else {}
+    values = {}
+    for flag, names, _ in flags:
+        value = getattr(args, flag.replace("-", "_"))
+        if value is None and flag in config:
+            value = _flag_type(defaults[names[0]])(config[flag])
+        if value is not None:
+            values.update(dict.fromkeys(names, value))
+    return values
 
 
 def cmd_synth(args) -> int:
-    opt = _Options(args)
-    spec = SynthSpec(
-        n_pos_videos=opt.get("pos", int, 20),
-        n_neg_videos=opt.get("neg", int, 20),
-        dim=opt.get("dim", int, 32),
-        clips_per_video=opt.get("clips", int, 64),
-        anomaly_fraction=opt.get("anomaly-fraction", float, 0.15),
-        separation=opt.get("separation", float, 2.0),
-        noise_sigma=opt.get("noise-sigma", float, 1.0),
-        seed=opt.get("seed", int, 0),
-    )
-    dataset = generate(spec, args.out,
-                       test_pos=opt.get("test-pos", int, 0),
-                       test_neg=opt.get("test-neg", int, 0))
+    values = _settings(args, SYNTH_FLAGS, SYNTH_DEFAULTS)
+    split = {name: values.pop(name) for name in ("test_pos", "test_neg") if name in values}
+    dataset = generate(SynthSpec(**values), args.out, **split)
     print(f"wrote {len(dataset.feature_paths)} feature files, manifest, annotations, "
           f"and planted index under {dataset.out_dir}")
     return EXIT_OK
@@ -87,46 +148,25 @@ def cmd_synth(args) -> int:
 def cmd_ingest_check(args) -> int:
     manifest = load_manifest(args.manifest, args.split)
     dim = None
-    n_pos = n_neg = 0
+    n_pos = 0
+    annotation_cache: dict = {}
     for entry in manifest.entries:
-        f = load_features(entry.feature_path, feature_format_for(entry.feature_path))
+        f = load_features(entry.feature_path)
         if dim is None:
             dim = f.dim
         elif f.dim != dim:
             raise DimensionMismatchError(
                 f"{entry.feature_path}: dim {f.dim} differs from first video's {dim}")
-        if entry.label == 1:
-            n_pos += 1
-            if manifest.split == "test" and entry.annotation_path is None:
-                raise DataError(f"test entry {f.video_id!r} is anomalous but has no annotation")
-        else:
-            n_neg += 1
-    print(f"OK: {len(manifest.entries)} videos ({n_pos} positive / {n_neg} negative), dim {dim}")
+        if manifest.split == "test":
+            entry_annotation(entry, f.video_id, f.n_frames, annotation_cache)
+        n_pos += entry.label
+    n = len(manifest.entries)
+    print(f"OK: {n} videos ({n_pos} positive / {n - n_pos} negative), dim {dim}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    opt = _Options(args)
-    cfg = TrainConfig(
-        iterations=opt.get("iters", int, 2000),
-        seed=opt.get("seed", int, 0),
-        batch_pos=opt.get("batch", int, 30),
-        batch_neg=opt.get("batch", int, 30),
-        segments_per_bag=opt.get("segments", int, 32),
-        learning_rate=opt.get("lr", float, 0.001),
-        adagrad_epsilon=opt.get("epsilon", float, 1e-8),
-        loss_params=LossParams(
-            smoothness_weight=opt.get("lambda1", float, 8e-5),
-            sparsity_weight=opt.get("lambda2", float, 8e-5),
-            weight_decay=opt.get("weight-decay", float, 1e-3),
-            margin=opt.get("margin", float, 1.0),
-        ),
-        snapshot_every=opt.get("snapshot-every", int, 0),
-        probe_video_id=opt.get("probe", str, None),
-        hidden1=opt.get("hidden1", int, 512),
-        hidden2=opt.get("hidden2", int, 32),
-        dropout_rate=opt.get("dropout", float, 0.6),
-    )
+    cfg = TrainConfig.from_values(**_settings(args, TRAIN_FLAGS, TRAIN_DEFAULTS))
     import numpy as np
     cache_dtype = np.float32 if args.cache32 else np.float64
 
@@ -148,8 +188,7 @@ def cmd_train(args) -> int:
 
 def cmd_score(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    fmt = args.format or feature_format_for(args.features)
-    f = load_features(args.features, fmt)
+    f = load_features(args.features, args.format)
     segment_scores, timeline = score_video(model, f, args.segments)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -162,7 +201,17 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
-def _write_evaluation(evaluation, out_dir: Path, threshold: float) -> int:
+def cmd_eval(args) -> int:
+    """``eval`` scores with an MLP checkpoint, ``baseline-eval`` with a linear model."""
+    if args.command == "eval":
+        model = load_checkpoint(args.checkpoint)
+        scorer = lambda f: score_video(model, f, args.segments)[0]
+    else:
+        model = load_linear(args.model)
+        scorer = lambda f: score_linear(model, f, args.segments)
+    manifest = load_manifest(args.manifest, "test")
+    evaluation = evaluate_manifest(manifest, scorer, m=args.segments, threshold=args.threshold)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_roc_csv(evaluation.curve, out_dir / "roc.csv")
     timeline_dir = out_dir / "timelines"
@@ -173,47 +222,16 @@ def _write_evaluation(evaluation, out_dir: Path, threshold: float) -> int:
     if evaluation.false_alarm is None:
         print("false alarm rate: n/a (no normal videos in manifest)")
     else:
-        print(f"false alarm rate @ {threshold:g}: {evaluation.false_alarm * 100:.2f}%")
+        print(f"false alarm rate @ {args.threshold:g}: {evaluation.false_alarm * 100:.2f}%")
     return EXIT_OK
-
-
-def cmd_eval(args) -> int:
-    model = load_checkpoint(args.checkpoint)
-    manifest = load_manifest(args.manifest, "test")
-    evaluation = evaluate_manifest(
-        manifest,
-        lambda f: score_video(model, f, args.segments)[0],
-        m=args.segments,
-        threshold=args.threshold,
-    )
-    return _write_evaluation(evaluation, Path(args.out), args.threshold)
 
 
 def cmd_baseline_train(args) -> int:
-    opt = _Options(args)
+    values = _settings(args, BASELINE_FLAGS, FIT_DEFAULTS)
     manifest = load_manifest(args.manifest, "train")
-    model = train_linear(
-        manifest,
-        c_reg=opt.get("c-reg", float, 1.0),
-        epochs=opt.get("epochs", int, 1000),
-        seed=opt.get("seed", int, 0),
-        learning_rate=opt.get("lr", float, 0.1),
-    )
-    save_linear(model, args.out)
+    save_linear(train_linear(manifest, **values), args.out)
     print(f"saved baseline model to {args.out}")
     return EXIT_OK
-
-
-def cmd_baseline_eval(args) -> int:
-    model = load_linear(args.model)
-    manifest = load_manifest(args.manifest, "test")
-    evaluation = evaluate_manifest(
-        manifest,
-        lambda f: score_linear(model, f, args.segments),
-        m=args.segments,
-        threshold=args.threshold,
-    )
-    return _write_evaluation(evaluation, Path(args.out), args.threshold)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,101 +251,54 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", parents=[common], help="generate a synthetic dataset")
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--pos", type=int, default=None, help="positive video count (default 20)")
-    p.add_argument("--neg", type=int, default=None, help="negative video count (default 20)")
-    p.add_argument("--dim", type=int, default=None, help="feature dimensionality (default 32)")
-    p.add_argument("--clips", type=int, default=None, help="clips per video (default 64)")
-    p.add_argument("--anomaly-fraction", type=float, default=None)
-    p.add_argument("--separation", type=float, default=None)
-    p.add_argument("--noise-sigma", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--test-pos", type=int, default=None,
-                   help="extra held-out positives written to manifest_test.txt")
-    p.add_argument("--test-neg", type=int, default=None,
-                   help="extra held-out negatives written to manifest_test.txt")
+    _add_setting_flags(p, SYNTH_FLAGS, SYNTH_DEFAULTS)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ingest-check", parents=[common], help="validate a manifest and its files")
     p.add_argument("--manifest", type=Path, required=True)
-    p.add_argument("--split", choices=("train", "test"), default="train")
+    p.add_argument("--split", choices=("train", "test"), default="train",
+                   help="test also checks each entry's annotation as eval reads it")
     p.set_defaults(func=cmd_ingest_check)
 
     p = sub.add_parser("train", parents=[common], help="train the ranking model")
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--iters", type=int, default=None, help="training iterations (default 2000)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None, help="bags per class per batch (default 30)")
-    p.add_argument("--segments", type=int, default=None, help="segments per bag (default 32)")
-    p.add_argument("--lr", type=float, default=None, help="Adagrad learning rate (default 0.001)")
-    p.add_argument("--epsilon", type=float, default=None, help="Adagrad epsilon (default 1e-8)")
-    p.add_argument("--lambda1", type=float, default=None, help="smoothness weight (default 8e-5)")
-    p.add_argument("--lambda2", type=float, default=None, help="sparsity weight (default 8e-5)")
-    p.add_argument("--weight-decay", type=float, default=None)
-    p.add_argument("--margin", type=float, default=None)
-    p.add_argument("--dropout", type=float, default=None, help="dropout rate (default 0.6)")
-    p.add_argument("--hidden1", type=int, default=None)
-    p.add_argument("--hidden2", type=int, default=None)
-    p.add_argument("--snapshot-every", type=int, default=None)
-    p.add_argument("--probe", type=str, default=None, help="probe video id for score snapshots")
+    _add_setting_flags(p, TRAIN_FLAGS, TRAIN_DEFAULTS)
     p.add_argument("--cache32", action="store_true", help="cache bags as float32")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("score", parents=[common], help="score one feature file with a checkpoint")
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--features", type=Path, required=True)
-    p.add_argument("--format", choices=("binary", "csv"), default=None)
-    p.add_argument("--segments", type=int, default=32)
+    p.add_argument("--format", choices=("binary", "csv"), default=None,
+                   help="feature file format (default: csv for a .csv file, else binary)")
+    p.add_argument("--segments", type=int, default=DEFAULT_SEGMENTS)
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("eval", parents=[common], help="frame-level ROC/AUC and false-alarm rate")
-    p.add_argument("--checkpoint", type=Path, required=True)
-    p.add_argument("--manifest", type=Path, required=True)
-    p.add_argument("--segments", type=int, default=32)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(func=cmd_eval)
+    for name, model_flag, text in (
+            ("eval", "--checkpoint", "frame-level ROC/AUC and false-alarm rate"),
+            ("baseline-eval", "--model", "evaluate the linear baseline")):
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.add_argument(model_flag, type=Path, required=True)
+        p.add_argument("--manifest", type=Path, required=True)
+        p.add_argument("--segments", type=int, default=DEFAULT_SEGMENTS)
+        p.add_argument("--threshold", type=float, default=0.5)
+        p.add_argument("--out", type=Path, required=True)
+        p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("baseline-train", parents=[common], help="train the linear hinge baseline")
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--c-reg", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    _add_setting_flags(p, BASELINE_FLAGS, FIT_DEFAULTS)
     p.set_defaults(func=cmd_baseline_train)
-
-    p = sub.add_parser("baseline-eval", parents=[common], help="evaluate the linear baseline")
-    p.add_argument("--model", type=Path, required=True)
-    p.add_argument("--manifest", type=Path, required=True)
-    p.add_argument("--segments", type=int, default=32)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(func=cmd_baseline_eval)
     return parser
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as e:
+    except tuple(cls for cls, _ in EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except NonFiniteLossError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except DimensionMismatchError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SHAPE
-    except MetricError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_METRIC
-    except (DataError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for cls, code in EXIT_CODES if isinstance(e, cls))

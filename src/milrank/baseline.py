@@ -13,6 +13,7 @@ with labels in {-1, +1}, which is deterministic from the zero start.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import DataError, DimensionMismatchError, FormatError
-from .features import DatasetManifest, FeatureMatrix, feature_format_for, l2_normalize_rows, \
-    load_features, partition_segments
+from .features import DEFAULT_SEGMENTS, DatasetManifest, FeatureMatrix, l2_normalize_rows, \
+    load_features, make_bag
 from .network import sigmoid
 from .validation import check_feature_array
 
@@ -76,28 +77,26 @@ def fit_linear(X, y, c_reg: float = 1.0, epochs: int = 1000,
     return LinearModel(w=w, b=float(b), c_reg=c_reg)
 
 
-def train_linear(manifest: DatasetManifest, c_reg: float = 1.0, epochs: int = 1000,
-                 seed: int = 0, learning_rate: float = 0.1) -> LinearModel:
-    """Fit the baseline on a manifest's videos.
+# fit_linear's settings and their defaults, read from its signature
+FIT_DEFAULTS = {name: p.default for name, p in inspect.signature(fit_linear).parameters.items()
+                if p.default is not inspect.Parameter.empty}
 
-    ``seed`` is accepted for interface parity with the ranking trainer;
-    the solver itself is deterministic and does not consume it.
-    """
+
+def train_linear(manifest: DatasetManifest, **fit_params) -> LinearModel:
+    """Fit the baseline on a manifest's videos; ``fit_params`` go to ``fit_linear``."""
     rows = []
     labels = []
     for entry in manifest.entries:
-        f = load_features(entry.feature_path, feature_format_for(entry.feature_path))
-        rows.append(video_feature(f))
+        rows.append(video_feature(load_features(entry.feature_path)))
         labels.append(entry.label)
-    return fit_linear(np.array(rows), np.array(labels), c_reg, epochs, learning_rate)
+    return fit_linear(np.array(rows), np.array(labels), **fit_params)
 
 
-def score_linear(model: LinearModel, f: FeatureMatrix, m: int = 32) -> np.ndarray:
+def score_linear(model: LinearModel, f: FeatureMatrix, m: int = DEFAULT_SEGMENTS) -> np.ndarray:
     """Per-segment scores sigmoid(w . segment - b) for the eval pipeline."""
     if f.dim != model.w.shape[0]:
         raise DimensionMismatchError(f"features have dim {f.dim}, model expects {model.w.shape[0]}")
-    segments, _ = partition_segments(l2_normalize_rows(f), m)
-    return sigmoid(segments @ model.w - model.b)
+    return sigmoid(make_bag(f, 0, m).segments @ model.w - model.b)
 
 
 def save_linear(model: LinearModel, path) -> None:

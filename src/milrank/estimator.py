@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .baseline import LinearModel, fit_linear, sigmoid, video_feature
+from .baseline import FIT_DEFAULTS, LinearModel, fit_linear, sigmoid, video_feature
 from .exceptions import NotFittedError
-from .features import FeatureMatrix, make_bag
-from .loss import LossParams
+from .features import DEFAULT_SEGMENTS, FeatureMatrix, l2_normalize_rows, make_bag
 from .metrics import ScoreTimeline, score_video
 from .network import forward
 from .optim import TrainConfig, train_on_bags
@@ -39,80 +38,48 @@ def _as_feature_matrices(X) -> list[FeatureMatrix]:
 
 def _normalized_rows(X, dim: int) -> np.ndarray:
     rows = check_feature_array(X, dim=dim, name="X")
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    return rows / np.where(norms == 0.0, 1.0, norms)
+    return l2_normalize_rows(FeatureMatrix(video_id="X", data=rows, n_frames=1)).data
 
 
-class _ParamsMixin:
-    _param_names: tuple[str, ...] = ()
+class _Estimator:
+    """Keyword-only params, named and defaulted by ``_defaults``, and the fitted check."""
+
+    _defaults: dict = {}
+
+    def __init__(self, **params):
+        unknown = sorted(set(params) - set(self._defaults))
+        if unknown:
+            raise TypeError(f"{type(self).__name__} got unexpected keyword arguments {unknown}")
+        for name, default in self._defaults.items():
+            setattr(self, name, params.get(name, default))
 
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names}
+        return {name: getattr(self, name) for name in self._defaults}
 
     def set_params(self, **params):
-        valid = self.get_params()
         for name, value in params.items():
-            if name not in valid:
+            if name not in self._defaults:
                 raise ValueError(f"invalid parameter {name!r} for {type(self).__name__}")
             setattr(self, name, value)
         return self
 
+    def _check_fitted(self):
+        if not hasattr(self, "model_"):
+            raise NotFittedError(f"{type(self).__name__} instance is not fitted yet")
 
-class MilRankingDetector(_ParamsMixin):
+
+class MilRankingDetector(_Estimator):
     """Anomaly scorer trained from video-level labels only.
 
     fit(X, y) forms one bag per video and trains the scoring network with
     the max-instance ranking hinge plus smoothness/sparsity terms;
-    score_samples(X) returns per-row anomaly scores in (0, 1).
+    score_samples(X) returns per-row anomaly scores in (0, 1).  Its params
+    are the TrainConfig settings (``TrainConfig.defaults``) except the probe
+    video, which is the first positive video.
     """
 
-    _param_names = (
-        "segments_per_bag", "hidden1", "hidden2", "dropout_rate", "iterations",
-        "batch_pos", "batch_neg", "learning_rate", "adagrad_epsilon",
-        "smoothness_weight", "sparsity_weight", "weight_decay", "margin",
-        "snapshot_every", "seed",
-    )
-
-    def __init__(self, *, segments_per_bag=32, hidden1=512, hidden2=32, dropout_rate=0.6,
-                 iterations=2000, batch_pos=30, batch_neg=30, learning_rate=0.001,
-                 adagrad_epsilon=1e-8, smoothness_weight=8e-5, sparsity_weight=8e-5,
-                 weight_decay=1e-3, margin=1.0, snapshot_every=0, seed=0):
-        self.segments_per_bag = segments_per_bag
-        self.hidden1 = hidden1
-        self.hidden2 = hidden2
-        self.dropout_rate = dropout_rate
-        self.iterations = iterations
-        self.batch_pos = batch_pos
-        self.batch_neg = batch_neg
-        self.learning_rate = learning_rate
-        self.adagrad_epsilon = adagrad_epsilon
-        self.smoothness_weight = smoothness_weight
-        self.sparsity_weight = sparsity_weight
-        self.weight_decay = weight_decay
-        self.margin = margin
-        self.snapshot_every = snapshot_every
-        self.seed = seed
-
-    def _config(self) -> TrainConfig:
-        return TrainConfig(
-            iterations=self.iterations,
-            seed=self.seed,
-            batch_pos=self.batch_pos,
-            batch_neg=self.batch_neg,
-            segments_per_bag=self.segments_per_bag,
-            learning_rate=self.learning_rate,
-            adagrad_epsilon=self.adagrad_epsilon,
-            loss_params=LossParams(
-                smoothness_weight=self.smoothness_weight,
-                sparsity_weight=self.sparsity_weight,
-                weight_decay=self.weight_decay,
-                margin=self.margin,
-            ),
-            snapshot_every=self.snapshot_every,
-            hidden1=self.hidden1,
-            hidden2=self.hidden2,
-            dropout_rate=self.dropout_rate,
-        )
+    _defaults = {name: value for name, value in TrainConfig.defaults().items()
+                 if name != "probe_video_id"}
 
     def fit(self, X, y):
         videos = _as_feature_matrices(X)
@@ -122,12 +89,9 @@ class MilRankingDetector(_ParamsMixin):
         pos = [b for b in bags if b.label == 1]
         neg = [b for b in bags if b.label == 0]
         probe = pos[0] if (self.snapshot_every and pos) else None
-        self.model_, self.training_log_ = train_on_bags(pos, neg, self._config(), probe_bag=probe)
+        self.model_, self.training_log_ = train_on_bags(
+            pos, neg, TrainConfig.from_values(**self.get_params()), probe_bag=probe)
         return self
-
-    def _check_fitted(self):
-        if not hasattr(self, "model_"):
-            raise NotFittedError(f"{type(self).__name__} instance is not fitted yet")
 
     def score_samples(self, X) -> np.ndarray:
         """Anomaly score per feature row (rows are L2-normalized first)."""
@@ -146,18 +110,10 @@ class MilRankingDetector(_ParamsMixin):
         return score_video(self.model_, f, self.segments_per_bag)
 
 
-class LinearHingeBaseline(_ParamsMixin):
+class LinearHingeBaseline(_Estimator):
     """Video-level linear hinge classifier used as an AUC reference point."""
 
-    _param_names = ("c_reg", "epochs", "learning_rate", "segments_per_bag", "seed")
-
-    def __init__(self, *, c_reg=1.0, epochs=1000, learning_rate=0.1,
-                 segments_per_bag=32, seed=0):
-        self.c_reg = c_reg
-        self.epochs = epochs
-        self.learning_rate = learning_rate
-        self.segments_per_bag = segments_per_bag
-        self.seed = seed
+    _defaults = {**FIT_DEFAULTS, "segments_per_bag": DEFAULT_SEGMENTS}
 
     def fit(self, X, y):
         videos = _as_feature_matrices(X)
@@ -165,10 +121,6 @@ class LinearHingeBaseline(_ParamsMixin):
         pooled = np.array([video_feature(f) for f in videos])
         self.model_ = fit_linear(pooled, labels, self.c_reg, self.epochs, self.learning_rate)
         return self
-
-    def _check_fitted(self):
-        if not hasattr(self, "model_"):
-            raise NotFittedError(f"{type(self).__name__} instance is not fitted yet")
 
     def decision_function(self, X) -> np.ndarray:
         self._check_fitted()

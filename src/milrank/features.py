@@ -96,13 +96,16 @@ class DatasetManifest:
             raise ValueError(f"split must be 'train' or 'test', got {self.split!r}")
 
 
-def load_features(path, format: str = "binary") -> FeatureMatrix:
+def load_features(path, format: str | None = None) -> FeatureMatrix:
     """Read a feature file.  No normalization is applied.
 
-    Raises FormatError naming the byte offset (binary) or line number (csv)
-    of the first problem found.
+    ``format`` defaults to csv for a ``.csv`` extension and binary for any
+    other.  Raises FormatError naming the byte offset (binary) or line
+    number (csv) of the first problem found.
     """
     path = Path(path)
+    if format is None:
+        format = "csv" if path.suffix.lower() == ".csv" else "binary"
     if format == "binary":
         return _load_binary(path)
     if format == "csv":
@@ -277,11 +280,6 @@ def load_manifest(path, split: str) -> DatasetManifest:
     return DatasetManifest(entries=tuple(entries), split=split)
 
 
-def feature_format_for(path) -> str:
-    """Infer the feature format from a file extension (csv vs binary)."""
-    return "csv" if Path(path).suffix.lower() == ".csv" else "binary"
-
-
 def load_bags(manifest: DatasetManifest, m: int = DEFAULT_SEGMENTS, dtype=np.float64) -> list[Bag]:
     """Featurize every manifest entry into a bag, in manifest order.
 
@@ -290,8 +288,7 @@ def load_bags(manifest: DatasetManifest, m: int = DEFAULT_SEGMENTS, dtype=np.flo
     """
     bags = []
     for entry in manifest.entries:
-        f = load_features(entry.feature_path, feature_format_for(entry.feature_path))
-        bag = make_bag(f, entry.label, m)
+        bag = make_bag(load_features(entry.feature_path), entry.label, m)
         if dtype is not np.float64:
             bag = Bag(bag.video_id, bag.label, bag.segments.astype(dtype), bag.segment_frame_ranges)
         bags.append(bag)

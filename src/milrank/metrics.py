@@ -14,7 +14,16 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import DataError, DimensionMismatchError, FormatError, MetricError
-from .features import Bag, DatasetManifest, FeatureMatrix, feature_format_for, load_features, make_bag
+from .features import (
+    DEFAULT_SEGMENTS,
+    Bag,
+    DatasetManifest,
+    FeatureMatrix,
+    ManifestEntry,
+    load_features,
+    make_bag,
+    segment_bounds,
+)
 from .network import MlpModel, forward
 from .validation import check_score_vector
 
@@ -139,7 +148,8 @@ def false_alarm_rate(timelines, threshold: float = 0.5) -> float:
     return float(np.count_nonzero(pooled >= threshold) / pooled.size)
 
 
-def score_video(model: MlpModel, f: FeatureMatrix, m: int = 32) -> tuple[np.ndarray, ScoreTimeline]:
+def score_video(model: MlpModel, f: FeatureMatrix,
+                m: int = DEFAULT_SEGMENTS) -> tuple[np.ndarray, ScoreTimeline]:
     """Normalize, segment, score in eval mode, and expand to frames."""
     if f.dim != model.dim:
         raise DimensionMismatchError(f"features have dim {f.dim}, model expects {model.dim}")
@@ -194,40 +204,50 @@ class ManifestEvaluation:
     timelines: tuple[ScoreTimeline, ...]
 
 
-def evaluate_manifest(manifest: DatasetManifest, segment_scorer, m: int = 32,
+def entry_annotation(entry: ManifestEntry, video_id: str, n_frames: int,
+                     cache: dict) -> TemporalAnnotation:
+    """Ground truth of one test-manifest entry.
+
+    An anomalous entry must reference an annotation file that lists its
+    video id with at least one interval; a normal entry gets an empty
+    annotation and must not be listed with intervals.  ``cache`` maps each
+    annotation path to its parsed file across calls.
+    """
+    ann = None
+    if entry.annotation_path is not None:
+        if entry.annotation_path not in cache:
+            cache[entry.annotation_path] = load_annotations(entry.annotation_path)
+        ann = cache[entry.annotation_path].get(video_id)
+    if entry.label == 1:
+        if ann is None or not ann.intervals:
+            raise DataError(f"anomalous video {video_id!r} has no annotated intervals")
+        return ann
+    if ann is not None and ann.intervals:
+        raise DataError(f"video {video_id!r} is labeled normal but has anomalous intervals")
+    return TemporalAnnotation(video_id, n_frames)
+
+
+def evaluate_manifest(manifest: DatasetManifest, segment_scorer, m: int = DEFAULT_SEGMENTS,
                       threshold: float = 0.5) -> ManifestEvaluation:
     """Score every manifest video and compute the pooled frame metrics.
 
-    ``segment_scorer(features)`` must return the per-segment score vector;
-    anomalous entries must reference an annotation file listing their
-    video id, normal entries default to an empty annotation.
+    ``segment_scorer(features)`` must return the per-segment score vector of
+    ``make_bag(features, label, m)``; each score is spread over its segment's
+    share of the frame axis.  Annotations follow ``entry_annotation``.
     """
     annotation_cache: dict = {}
     timelines = []
     annotations = []
     normal_timelines = []
     for entry in manifest.entries:
-        f = load_features(entry.feature_path, feature_format_for(entry.feature_path))
+        f = load_features(entry.feature_path)
         scores = check_score_vector(segment_scorer(f), length=m, name="segment_scores")
-        bag = make_bag(f, entry.label, m)
-        timeline = expand_scores(bag, scores)
-
-        ann = None
-        if entry.annotation_path is not None:
-            key = entry.annotation_path
-            if key not in annotation_cache:
-                annotation_cache[key] = load_annotations(key)
-            ann = annotation_cache[key].get(f.video_id)
-        if entry.label == 1:
-            if ann is None or not ann.intervals:
-                raise DataError(f"anomalous video {f.video_id!r} has no annotated intervals")
-        else:
-            if ann is not None and ann.intervals:
-                raise DataError(f"video {f.video_id!r} is labeled normal but has anomalous intervals")
-            ann = TemporalAnnotation(f.video_id, f.n_frames)
+        frames = np.repeat(scores, np.diff(segment_bounds(f.n_frames, m)))
+        timeline = ScoreTimeline(video_id=f.video_id, frame_scores=frames)
+        annotations.append(entry_annotation(entry, f.video_id, f.n_frames, annotation_cache))
+        if entry.label == 0:
             normal_timelines.append(timeline)
         timelines.append(timeline)
-        annotations.append(ann)
     curve = roc_auc(timelines, annotations)
     far = false_alarm_rate(normal_timelines, threshold) if normal_timelines else None
     return ManifestEvaluation(curve=curve, false_alarm=far, timelines=tuple(timelines))

@@ -13,13 +13,13 @@ on one platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .exceptions import DataError, NonFiniteLossError
-from .features import Bag, DatasetManifest, load_bags
+from .features import DEFAULT_SEGMENTS, Bag, DatasetManifest, load_bags
 from .loss import LossParams, ranking_loss_and_grad, weight_decay_grads, weight_decay_term
 from .network import (
     MlpModel,
@@ -38,11 +38,13 @@ PROBE_HEADER = "iteration,segment_index,score"
 
 @dataclass(frozen=True)
 class TrainConfig:
-    iterations: int
+    """Every setting of a training run; the CLI and the estimator derive theirs from it."""
+
+    iterations: int = 2000
     seed: int = 0
     batch_pos: int = 30
     batch_neg: int = 30
-    segments_per_bag: int = 32
+    segments_per_bag: int = DEFAULT_SEGMENTS
     learning_rate: float = 0.001
     adagrad_epsilon: float = 1e-8
     loss_params: LossParams = field(default_factory=LossParams)
@@ -67,6 +69,23 @@ class TrainConfig:
             raise ValueError("snapshot_every must be non-negative")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+
+    @classmethod
+    def defaults(cls) -> dict:
+        """Every setting's default by name, the LossParams fields in place of ``loss_params``."""
+        out = {}
+        for f in fields(cls):
+            if f.name == "loss_params":
+                out.update((lf.name, lf.default) for lf in fields(LossParams))
+            else:
+                out[f.name] = f.default
+        return out
+
+    @classmethod
+    def from_values(cls, **values) -> "TrainConfig":
+        """A config from settings named as in ``defaults``; absent ones keep their default."""
+        loss = {f.name: values.pop(f.name) for f in fields(LossParams) if f.name in values}
+        return cls(loss_params=LossParams(**loss), **values)
 
 
 @dataclass

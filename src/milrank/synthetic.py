@@ -15,8 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import FRAMES_PER_CLIP, FeatureMatrix, make_bag, segment_bounds, write_features
-from .network import MlpModel, forward
+from .features import DEFAULT_SEGMENTS, FRAMES_PER_CLIP, FeatureMatrix, segment_bounds, write_features
+from .metrics import score_video
+from .network import MlpModel
 from .rng import STREAM_SYNTH, derive_rng
 
 ANNOTATION_SLOTS = 2  # pad every annotation line to this many interval pairs
@@ -24,8 +25,8 @@ ANNOTATION_SLOTS = 2  # pad every annotation line to this many interval pairs
 
 @dataclass(frozen=True)
 class SynthSpec:
-    n_pos_videos: int
-    n_neg_videos: int
+    n_pos_videos: int = 20
+    n_neg_videos: int = 20
     dim: int = 32
     clips_per_video: int = 64
     anomaly_fraction: float = 0.15
@@ -162,7 +163,7 @@ def planted_segment_range(n_clips: int, m: int, clip_start: int, clip_end: int) 
 
 
 def localization_accuracy(model: MlpModel, features, planted: dict[str, tuple[int, int]],
-                          m: int = 32) -> float:
+                          m: int = DEFAULT_SEGMENTS) -> float:
     """Fraction of positive videos whose argmax segment hits the planted run."""
     hits = 0
     total = 0
@@ -170,9 +171,7 @@ def localization_accuracy(model: MlpModel, features, planted: dict[str, tuple[in
         run = planted.get(f.video_id)
         if run is None:
             continue
-        bag = make_bag(f, 1, m)
-        scores, _ = forward(model, bag.segments, mode="eval")
-        best = int(np.argmax(scores))
+        best = int(np.argmax(score_video(model, f, m)[0]))
         total += 1
         if best in planted_segment_range(f.n_clips, m, *run):
             hits += 1

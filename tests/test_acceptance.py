@@ -272,7 +272,7 @@ def test_c08_false_alarm_behavior(trained):
 
 
 def test_c09_baseline_gap(trained):
-    baseline = train_linear(trained["train_manifest"], c_reg=1.0, epochs=1000, seed=0)
+    baseline = train_linear(trained["train_manifest"], c_reg=1.0, epochs=1000)
     baseline_eval = evaluate_manifest(
         trained["test_manifest"],
         lambda f: milrank.score_linear(baseline, f, 32), m=32)

@@ -1,11 +1,25 @@
+import dataclasses
 import hashlib
+import inspect
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
+from milrank import _commands
+from milrank.baseline import fit_linear
 from milrank.cli import main
+from milrank.exceptions import (
+    DataError,
+    DimensionMismatchError,
+    FormatError,
+    MetricError,
+    NonFiniteLossError,
+)
+from milrank.loss import LossParams
+from milrank.optim import TrainConfig
 from milrank.features import FeatureMatrix, load_features, write_features
 from milrank.network import init_model, load_checkpoint, save_checkpoint
 from milrank.metrics import evaluate_manifest, score_video
@@ -76,6 +90,141 @@ class TestIngestCheck:
     def test_manifest_with_missing_feature_file(self, tmp_path):
         (tmp_path / "m.txt").write_text("gone.feat 0\n")
         assert main(["ingest-check", "--manifest", str(tmp_path / "m.txt")]) == 3
+
+
+class TestIngestCheckTestSplit:
+    """``--split test`` applies eval's annotation rules; eval agrees on each manifest."""
+
+    def check_and_eval(self, dataset, tmp_path, manifest_text, annotation_text):
+        (dataset / "ann_case.txt").write_text(annotation_text)
+        manifest = dataset / "case.txt"
+        manifest.write_text(manifest_text)
+        ckpt = tmp_path / "zero.json"
+        zero_checkpoint(ckpt)
+        check = main(["ingest-check", "--manifest", str(manifest), "--split", "test"])
+        evaluated = main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest),
+                          "--segments", "8", "--out", str(tmp_path / "e")])
+        return check, evaluated
+
+    def test_ok(self, dataset, capsys):
+        assert main(["ingest-check", "--manifest", str(dataset / "manifest_test.txt"),
+                     "--split", "test"]) == 0
+        assert "OK: 4 videos (2 positive / 2 negative), dim 8" in capsys.readouterr().out
+
+    def test_unparseable_annotation_file(self, dataset, tmp_path):
+        codes = self.check_and_eval(dataset, tmp_path, "features/pos003.feat 1 ann_case.txt\n"
+                                    "features/neg003.feat 0 ann_case.txt\n", "garbage\n")
+        assert codes == (3, 3)
+
+    def test_anomalous_video_left_out(self, dataset, tmp_path):
+        codes = self.check_and_eval(dataset, tmp_path, "features/pos003.feat 1 ann_case.txt\n"
+                                    "features/neg003.feat 0 ann_case.txt\n", "neg003 256 -1 -1\n")
+        assert codes == (2, 2)
+
+    def test_anomalous_video_without_intervals(self, dataset, tmp_path):
+        codes = self.check_and_eval(dataset, tmp_path, "features/pos003.feat 1 ann_case.txt\n"
+                                    "features/neg003.feat 0\n", "pos003 256 -1 -1\n")
+        assert codes == (2, 2)
+
+    def test_normal_video_with_intervals(self, dataset, tmp_path):
+        codes = self.check_and_eval(dataset, tmp_path, "features/pos003.feat 1 ann_case.txt\n"
+                                    "features/neg003.feat 0 ann_case.txt\n",
+                                    "pos003 256 0 16\nneg003 256 0 16\n")
+        assert codes == (2, 2)
+
+    def test_train_split_ignores_annotations(self, dataset, tmp_path):
+        (dataset / "ann_case.txt").write_text("garbage\n")
+        (dataset / "case.txt").write_text("features/pos003.feat 1 ann_case.txt\n")
+        assert main(["ingest-check", "--manifest", str(dataset / "case.txt")]) == 0
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error, code", [
+        (FormatError("f.bin", "byte 0", "bad magic"), 3),
+        (OSError("disk"), 3),
+        (FileNotFoundError("nope"), 3),
+        (NonFiniteLossError("nan"), 4),
+        (DimensionMismatchError("dim 3 vs 4"), 5),
+        (MetricError("one class"), 6),
+        (DataError("too few bags"), 2),
+        (ValueError("bad value"), 2),
+    ])
+    def test_exception_maps_to_exit_code(self, monkeypatch, capsys, error, code):
+        def failing(args):
+            raise error
+
+        monkeypatch.setattr(_commands, "cmd_ingest_check", failing)
+        assert _commands.run(["ingest-check", "--manifest", "m.txt"]) == code
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        def failing(args):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(_commands, "cmd_ingest_check", failing)
+        with pytest.raises(KeyError):
+            _commands.run(["ingest-check", "--manifest", "m.txt"])
+
+
+def help_by_flag(argv, capsys):
+    """Each ``--flag``'s help text from ``argv --help``, whitespace collapsed."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    text = text[text.index("options:"):]
+    return {m.group(1): m.group(2).strip() for m in
+            re.finditer(r"(--[a-z0-9-]+)(?: [A-Z0-9_]+)?(.*?)(?= --| -h|$)", text)}
+
+
+class TestDefaultsFromConfig:
+    TRAIN_FLAG_FIELDS = {
+        "--iters": "iterations", "--seed": "seed", "--batch": "batch_pos",
+        "--segments": "segments_per_bag", "--lr": "learning_rate", "--epsilon": "adagrad_epsilon",
+        "--lambda1": "smoothness_weight", "--lambda2": "sparsity_weight",
+        "--weight-decay": "weight_decay", "--margin": "margin", "--dropout": "dropout_rate",
+        "--hidden1": "hidden1", "--hidden2": "hidden2", "--snapshot-every": "snapshot_every",
+    }
+
+    def test_train_help_shows_dataclass_defaults(self, capsys):
+        defaults = {f.name: f.default for cls in (TrainConfig, LossParams)
+                    for f in dataclasses.fields(cls)}
+        assert defaults["iterations"] == 2000
+        helps = help_by_flag(["train"], capsys)
+        for flag, field in self.TRAIN_FLAG_FIELDS.items():
+            assert helps[flag].endswith(f"(default {defaults[field]})"), (flag, helps[flag])
+        assert "(default" in helps["--probe"]
+        expected_flags = {*self.TRAIN_FLAG_FIELDS, "--probe", "--cache32", "--manifest", "--out",
+                          "--config", "--threads"}
+        assert set(helps) - {"--help"} == expected_flags
+
+    def test_baseline_train_help_shows_fit_linear_defaults(self, capsys):
+        signature = inspect.signature(fit_linear).parameters
+        helps = help_by_flag(["baseline-train"], capsys)
+        for flag, name in (("--c-reg", "c_reg"), ("--epochs", "epochs"), ("--lr", "learning_rate")):
+            assert helps[flag].endswith(f"(default {signature[name].default})")
+        assert "--seed" not in helps
+
+    def test_baseline_train_has_no_seed(self, dataset, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["baseline-train", "--manifest", str(dataset / "manifest.txt"),
+                  "--out", str(tmp_path / "b.json"), "--seed", "1"])
+        assert exc.value.code == 2
+
+    def test_config_keys_are_flag_names(self, dataset, tmp_path):
+        settings = {"iters": "3", "seed": "4", "batch": "2", "segments": "4", "lr": "0.01",
+                    "epsilon": "1e-6", "lambda1": "0.5", "lambda2": "0.25", "weight-decay": "0.125",
+                    "margin": "0.75", "dropout": "0.5", "hidden1": "4", "hidden2": "2",
+                    "snapshot-every": "3", "probe": "neg001"}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key}={value}\n" for key, value in settings.items()))
+        train = ["train", "--manifest", str(dataset / "manifest.txt"), "--out"]
+        assert main([*train, str(tmp_path / "by_config"), "--config", str(cfg)]) == 0
+        flags = [token for key, value in settings.items() for token in (f"--{key}", value)]
+        assert main([*train, str(tmp_path / "by_flags"), *flags]) == 0
+        assert tree_digest(tmp_path / "by_config") == tree_digest(tmp_path / "by_flags")
+        model = load_checkpoint(tmp_path / "by_config" / "ckpt_3.json")
+        assert model.w1.shape == (4, 8) and model.w2.shape == (2, 4)
 
 
 class TestTrain:
@@ -168,6 +317,20 @@ class TestScore:
         assert main(["score", "--checkpoint", str(ckpt), "--features", str(feature_path),
                      "--out", str(tmp_path / "s")]) == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_format_flag_overrides_extension(self, dataset, tmp_path):
+        ckpt = tmp_path / "zero.json"
+        zero_checkpoint(ckpt)
+        f = load_features(next((dataset / "features").glob("*.feat")))
+        write_features(f, tmp_path / "clip.feat", "csv")
+        write_features(f, tmp_path / "clip.csv", "binary")
+        score = lambda path, *fmt: main(["score", "--checkpoint", str(ckpt), "--features", str(path),
+                                         "--segments", "8", "--out", str(tmp_path / "s"), *fmt])
+        assert score(tmp_path / "clip.feat") == 3
+        assert score(tmp_path / "clip.feat", "--format", "csv") == 0
+        assert score(tmp_path / "clip.csv", "--format", "binary") == 0
+        write_features(f, tmp_path / "plain.csv", "csv")
+        assert score(tmp_path / "plain.csv") == 0
 
     def test_matches_library_scores(self, dataset, tmp_path):
         ckpt = tmp_path / "m.json"

@@ -1,10 +1,16 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
+from milrank.baseline import fit_linear
 from milrank.estimator import LinearHingeBaseline, MilRankingDetector
 from milrank.exceptions import NotFittedError
 from milrank.features import FeatureMatrix
+from milrank.loss import LossParams
 from milrank.network import forward
+from milrank.optim import TrainConfig
 
 
 def synthetic_videos(n_pos=3, n_neg=3, dim=8, clips=12, seed=0):
@@ -42,6 +48,24 @@ class TestParamsProtocol:
         det = small_detector()
         assert det.set_params(seed=9) is det
         assert det.seed == 9
+
+    def test_detector_defaults_are_train_config_defaults(self):
+        expected = {f.name: f.default for f in dataclasses.fields(TrainConfig)
+                    if f.name not in ("loss_params", "probe_video_id")}
+        expected.update((f.name, f.default) for f in dataclasses.fields(LossParams))
+        assert MilRankingDetector().get_params() == expected
+
+    def test_baseline_defaults_are_fit_linear_defaults(self):
+        signature = inspect.signature(fit_linear).parameters
+        assert LinearHingeBaseline().get_params() == {
+            "c_reg": signature["c_reg"].default, "epochs": signature["epochs"].default,
+            "learning_rate": signature["learning_rate"].default, "segments_per_bag": 32}
+
+    @pytest.mark.parametrize("cls, bogus", [(MilRankingDetector, "probe_video_id"),
+                                            (LinearHingeBaseline, "seed")])
+    def test_constructor_rejects_unknown(self, cls, bogus):
+        with pytest.raises(TypeError, match=bogus):
+            cls(**{bogus: 0})
 
     def test_set_params_rejects_unknown(self):
         with pytest.raises(ValueError, match="invalid parameter"):

@@ -83,6 +83,21 @@ class TestCsvFormat:
         assert np.array_equal(loaded.data, original.data)
         assert loaded.n_frames == original.n_frames
 
+    def test_format_follows_extension(self, tmp_path):
+        original = fm([[1.5, -2.0], [0.25, 4.0]])
+        write_features(original, tmp_path / "v.csv", "csv")
+        write_features(original, tmp_path / "v.feat", "binary")
+        for name in ("v.csv", "v.feat"):
+            loaded = load_features(tmp_path / name)
+            assert np.array_equal(loaded.data, original.data)
+            assert loaded.n_frames == original.n_frames
+
+    def test_explicit_format_overrides_extension(self, tmp_path):
+        write_features(fm([[1.0, 2.0]]), tmp_path / "v.feat", "csv")
+        with pytest.raises(FormatError, match="byte 0"):
+            load_features(tmp_path / "v.feat")
+        assert load_features(tmp_path / "v.feat", "csv").dim == 2
+
     def test_ragged_rows_name_line(self, tmp_path):
         path = tmp_path / "v.csv"
         path.write_text("2,3,32\n1,2,3\n4,5\n")

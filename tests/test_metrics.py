@@ -1,12 +1,24 @@
 import numpy as np
 import pytest
 
-from milrank.exceptions import DimensionMismatchError, FormatError, MetricError
-from milrank.features import Bag, FeatureMatrix, l2_normalize_rows, make_bag, partition_segments
+import milrank.metrics
+from milrank.exceptions import DataError, DimensionMismatchError, FormatError, MetricError
+from milrank.features import (
+    Bag,
+    FeatureMatrix,
+    l2_normalize_rows,
+    load_features,
+    load_manifest,
+    make_bag,
+    partition_segments,
+    write_features,
+)
 from milrank.metrics import (
     RocCurve,
     ScoreTimeline,
     TemporalAnnotation,
+    entry_annotation,
+    evaluate_manifest,
     expand_scores,
     false_alarm_rate,
     load_annotations,
@@ -212,6 +224,88 @@ class TestScoreVideo:
         f = FeatureMatrix("v", np.ones((4, 3)), 64)
         with pytest.raises(DimensionMismatchError):
             score_video(model, f, 4)
+
+
+def write_eval_set(root, clip_frame_counts, dim=6, seed=0):
+    """Binary feature files with the given (clips, frames), alternately anomalous
+    and normal, a test manifest and an annotation file listing every video."""
+    rng = np.random.default_rng(seed)
+    manifest_lines, annotation_lines = [], []
+    for i, (clips, frames) in enumerate(clip_frame_counts):
+        video_id = f"v{i}"
+        write_features(FeatureMatrix(video_id, rng.normal(size=(clips, dim)), frames),
+                       root / f"{video_id}.feat")
+        label = i % 2
+        manifest_lines.append(f"{video_id}.feat {label} ann.txt")
+        interval = f"0 {max(1, frames // 3)}" if label else "-1 -1"
+        annotation_lines.append(f"{video_id} {frames} {interval}")
+    (root / "ann.txt").write_text("\n".join(annotation_lines) + "\n")
+    (root / "test.txt").write_text("\n".join(manifest_lines) + "\n")
+    return load_manifest(root / "test.txt", "test")
+
+
+class TestEvaluateManifest:
+    # clip counts below, at and above m; frame counts that m does and does not divide
+    SIZES = ((3, 50), (8, 128), (37, 600), (100, 1601), (5, 7), (64, 1024))
+
+    def test_one_bag_per_video(self, tmp_path, monkeypatch):
+        manifest = write_eval_set(tmp_path, self.SIZES)
+        model = init_model(6, seed=2, hidden1=8, hidden2=3)
+        calls = []
+        original = milrank.metrics.make_bag
+
+        def counting_make_bag(*args, **kwargs):
+            calls.append(args[0].video_id)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(milrank.metrics, "make_bag", counting_make_bag)
+        evaluate_manifest(manifest, lambda f: score_video(model, f, 8)[0], m=8)
+        assert calls == [f"v{i}" for i in range(len(self.SIZES))]
+
+    @pytest.mark.parametrize("m", [2, 8, 32])
+    def test_timelines_match_score_video_bit_for_bit(self, tmp_path, m):
+        manifest = write_eval_set(tmp_path, self.SIZES)
+        model = init_model(6, seed=3, hidden1=8, hidden2=3)
+        evaluation = evaluate_manifest(manifest, lambda f: score_video(model, f, m)[0], m=m)
+        assert len(evaluation.timelines) == len(self.SIZES)
+        for entry, got in zip(manifest.entries, evaluation.timelines):
+            _, expected = score_video(model, load_features(entry.feature_path), m)
+            assert got.video_id == expected.video_id
+            assert got.frame_scores.dtype == expected.frame_scores.dtype
+            assert got.frame_scores.tobytes() == expected.frame_scores.tobytes()
+
+
+class TestEntryAnnotation:
+    def entry(self, tmp_path, label, annotation_text):
+        write_features(FeatureMatrix("v", np.ones((2, 2)), 32), tmp_path / "v.feat")
+        ann = ""
+        if annotation_text is not None:
+            (tmp_path / "ann.txt").write_text(annotation_text)
+            ann = " ann.txt"
+        (tmp_path / "m.txt").write_text(f"v.feat {label}{ann}\n")
+        return load_manifest(tmp_path / "m.txt", "test").entries[0]
+
+    def test_anomalous_entry_returns_its_intervals(self, tmp_path):
+        ann = entry_annotation(self.entry(tmp_path, 1, "v 32 4 9\n"), "v", 32, {})
+        assert ann == TemporalAnnotation("v", 32, ((4, 9),))
+
+    def test_normal_entry_gets_empty_annotation(self, tmp_path):
+        for text in (None, "v 32 -1 -1\n", "other 10 0 5\n"):
+            ann = entry_annotation(self.entry(tmp_path, 0, text), "v", 32, {})
+            assert ann == TemporalAnnotation("v", 32)
+
+    @pytest.mark.parametrize("label, text", [
+        (1, None), (1, "other 10 0 5\n"), (1, "v 32 -1 -1\n"), (0, "v 32 0 5\n")])
+    def test_contradicting_entry_is_data_error(self, tmp_path, label, text):
+        with pytest.raises(DataError):
+            entry_annotation(self.entry(tmp_path, label, text), "v", 32, {})
+
+    def test_annotation_file_parsed_once(self, tmp_path):
+        entry = self.entry(tmp_path, 1, "v 32 4 9\n")
+        cache = {}
+        entry_annotation(entry, "v", 32, cache)
+        (tmp_path / "ann.txt").write_text("garbage\n")
+        assert entry_annotation(entry, "v", 32, cache).intervals == ((4, 9),)
 
 
 class TestAnnotationsFile:
