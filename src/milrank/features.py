@@ -144,7 +144,10 @@ def _load_binary(path: Path) -> FeatureMatrix:
 
 
 def _load_csv(path: Path) -> FeatureMatrix:
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise FormatError(path, f"byte {e.start}", "not UTF-8 text") from None
     if not lines:
         raise FormatError(path, "line 1", "empty file")
     header = lines[0].split(",")

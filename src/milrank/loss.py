@@ -137,20 +137,17 @@ def weight_decay_term(model: MlpModel, params: LossParams) -> float:
     """weight_decay times the summed squared entries of all weight matrices."""
     total = 0.0
     for w in (model.w1, model.w2, model.w3):
-        total += float((w * w).sum())
+        total += float(np.vdot(w, w))
     return params.weight_decay * total
 
 
 def weight_decay_grads(model: MlpModel, params: LossParams) -> dict[str, np.ndarray]:
-    """Gradient contribution of the regularizer (zero for biases)."""
-    return {
-        "w1": 2.0 * params.weight_decay * model.w1,
-        "b1": np.zeros_like(model.b1),
-        "w2": 2.0 * params.weight_decay * model.w2,
-        "b2": np.zeros_like(model.b2),
-        "w3": 2.0 * params.weight_decay * model.w3,
-        "b3": np.zeros_like(model.b3),
-    }
+    """Gradient contribution of the regularizer, keyed by weight matrix.
+
+    Biases are not regularized, so they have no entry.
+    """
+    scale = 2.0 * params.weight_decay
+    return {name: scale * getattr(model, name) for name in ("w1", "w2", "w3")}
 
 
 def batch_loss(pairs, params: LossParams, model: MlpModel) -> float:

@@ -210,14 +210,18 @@ def entry_annotation(entry: ManifestEntry, video_id: str, n_frames: int,
 
     An anomalous entry must reference an annotation file that lists its
     video id with at least one interval; a normal entry gets an empty
-    annotation and must not be listed with intervals.  ``cache`` maps each
-    annotation path to its parsed file across calls.
+    annotation and must not be listed with intervals.  A listed video's
+    frame count must equal ``n_frames``, the feature file's.  ``cache`` maps
+    each annotation path to its parsed file across calls.
     """
     ann = None
     if entry.annotation_path is not None:
         if entry.annotation_path not in cache:
             cache[entry.annotation_path] = load_annotations(entry.annotation_path)
         ann = cache[entry.annotation_path].get(video_id)
+    if ann is not None and ann.n_frames != n_frames:
+        raise DataError(f"video {video_id!r}: annotation covers {ann.n_frames} frames, "
+                        f"feature file has {n_frames}")
     if entry.label == 1:
         if ann is None or not ann.intervals:
             raise DataError(f"anomalous video {video_id!r} has no annotated intervals")

@@ -213,7 +213,11 @@ def backward(model: MlpModel, trace: ForwardTrace, dloss_dscores) -> dict[str, n
     """Parameter gradients for the loss whose score-gradient is given.
 
     Applies the dropout masks recorded in the trace; the relu subgradient
-    at exactly zero is zero.
+    at exactly zero is zero.  A row whose logit gradient is zero adds
+    nothing to any parameter gradient, so layers 3 to 1 run on the other
+    rows only and never read those rows' inputs or activations.  The ranking
+    loss reaches every positive segment but only the top-scoring segment of
+    each negative bag, so all other negative rows are skipped.
     """
     g = np.asarray(dloss_dscores, dtype=np.float64)
     if g.shape != (trace.batch_size,):
@@ -223,16 +227,24 @@ def backward(model: MlpModel, trace: ForwardTrace, dloss_dscores) -> dict[str, n
         raise ValueError("trace does not match model shape")
 
     dlogits = g * trace.scores * (1.0 - trace.scores)
-    dw3 = (dlogits[None, :] @ trace.h2)
+    live = np.flatnonzero(dlogits)
+    dlogits = dlogits[live]
+    dw3 = dlogits[None, :] @ trace.h2[live]
     db3 = np.array([dlogits.sum()])
     dh2 = dlogits[:, None] @ model.w3
     if trace.gate2 is not None:
-        dh2 *= trace.gate2
-    dw2 = dh2.T @ trace.h1
+        dh2 *= trace.gate2[live]
+    dw2 = dh2.T @ trace.h1[live]
     db2 = dh2.sum(axis=0)
     dz1 = dh2 @ model.w2
-    dz1 *= trace.gate1 if trace.gate1 is not None else trace.z1 > 0.0
-    dw1 = dz1.T @ trace.inputs
+    dz1 *= trace.gate1[live] if trace.gate1 is not None else trace.z1[live] > 0.0
+    # The trainer stacks its positive bags, whose rows are all live, first:
+    # the run of live rows from row 0 is read in place and only the rows
+    # after it are gathered, instead of copying every live input row.
+    k = int(np.searchsorted(live - np.arange(live.size), 0, side="right"))
+    dw1 = dz1[:k].T @ trace.inputs[:k]
+    if k < live.size:
+        dw1 += dz1[k:].T @ trace.inputs[live[k:]]
     db1 = dz1.sum(axis=0)
     return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2, "w3": dw3, "b3": db3}
 

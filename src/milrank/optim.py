@@ -105,19 +105,28 @@ class AdagradState:
 
 def adagrad_step(model: MlpModel, grads: dict[str, np.ndarray],
                  state: AdagradState) -> tuple[MlpModel, AdagradState]:
-    """One update: G += g^2, then theta -= lr * g / (sqrt(G) + eps)."""
+    """One update: G += g^2, then theta -= lr * g / (sqrt(G) + eps).
+
+    Pure: the new parameters and accumulators are fresh arrays, and the
+    model, gradients and state passed in are left unchanged.
+    """
     params = model.params()
     if set(grads) != set(params):
         raise ValueError(f"gradient keys {sorted(grads)} do not match parameters")
     new_params = {}
     new_acc = {}
     for name, theta in params.items():
-        g = grads[name]
+        g = np.asarray(grads[name], dtype=np.float64)
         if g.shape != theta.shape:
             raise ValueError(f"gradient for {name} has shape {g.shape}, expected {theta.shape}")
-        acc = state.accumulators[name] + g * g
+        acc = g * g
+        acc += state.accumulators[name]
+        denom = np.sqrt(acc)
+        denom += state.epsilon
+        step = state.learning_rate * g
+        step /= denom
         new_acc[name] = acc
-        new_params[name] = theta - state.learning_rate * g / (np.sqrt(acc) + state.epsilon)
+        new_params[name] = np.subtract(theta, step, out=step)
     return clone_with_params(model, new_params), AdagradState(new_acc, state.learning_rate, state.epsilon)
 
 
@@ -213,16 +222,19 @@ def train_on_bags(pos_bags: list[Bag], neg_bags: list[Bag], cfg: TrainConfig,
     P = cfg.batch_pos
     m = cfg.segments_per_bag
     log = TrainingLog()
+    X = np.empty((2 * P * m, dim))  # every batch is stacked into this one buffer
 
     for it in range(1, cfg.iterations + 1):
         pos_idx, neg_idx = sample_pair_indices(len(pos_bags), len(neg_bags), cfg, it)
-        batch = [pos_bags[i] for i in pos_idx] + [neg_bags[j] for j in neg_idx]
-        X = np.concatenate([np.asarray(b.segments, dtype=np.float64) for b in batch])
+        np.concatenate([pos_bags[i].segments for i in pos_idx]
+                       + [neg_bags[j].segments for j in neg_idx], out=X)
 
         mask1 = mask2 = None
         if cfg.dropout_rate > 0.0:
             mask1, mask2 = dropout_masks(model, 2 * P * m, dropout_seed(cfg.seed, it))
         scores, trace = forward_with_masks(model, X, mask1, mask2)
+        if not np.isfinite(scores).all():
+            raise NonFiniteLossError(f"non-finite scores at iteration {it}")
         S = scores.reshape(2 * P, m)
 
         terms = ranking_loss_and_grad(S[:P], S[P:], lp)

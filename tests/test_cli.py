@@ -132,6 +132,20 @@ class TestIngestCheckTestSplit:
                                     "pos003 256 0 16\nneg003 256 0 16\n")
         assert codes == (2, 2)
 
+    @pytest.mark.parametrize("annotation_text, video, frames", [
+        ("pos003 700 0 16\nneg003 256 -1 -1\n", "pos003", 700),
+        ("pos003 256 0 16\nneg003 300 -1 -1\n", "neg003", 300),
+    ])
+    def test_annotation_frame_count_mismatch(self, dataset, tmp_path, capsys, annotation_text,
+                                             video, frames):
+        assert load_features(dataset / "features" / f"{video}.feat").n_frames == 256
+        codes = self.check_and_eval(dataset, tmp_path, "features/pos003.feat 1 ann_case.txt\n"
+                                    "features/neg003.feat 0 ann_case.txt\n", annotation_text)
+        assert codes == (2, 2)
+        errors = capsys.readouterr().err.splitlines()
+        expected = f"error: video {video!r}: annotation covers {frames} frames, feature file has 256"
+        assert errors == [expected, expected]
+
     def test_train_split_ignores_annotations(self, dataset, tmp_path):
         (dataset / "ann_case.txt").write_text("garbage\n")
         (dataset / "case.txt").write_text("features/pos003.feat 1 ann_case.txt\n")
@@ -262,6 +276,15 @@ class TestTrain:
         assert probe[0] == "iteration,segment_index,score"
         assert len(probe) == 1 + 2 * 8
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_diverging_run_is_non_finite_loss(self, dataset, tmp_path, capsys):
+        code = main(["train", "--manifest", str(dataset / "manifest.txt"),
+                     "--out", str(tmp_path / "run"), "--iters", "5", "--lr", "1e308",
+                     "--batch", "3", "--segments", "8", "--hidden1", "16", "--hidden2", "4"])
+        assert code == 4
+        assert capsys.readouterr().err == "error: non-finite scores at iteration 2\n"
+
     def test_config_file_defaults_and_flag_override(self, dataset, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("iters=4\nbatch=3\nsegments=8\nhidden1=16\nhidden2=4\nseed=3\n")
@@ -331,6 +354,15 @@ class TestScore:
         assert score(tmp_path / "clip.csv", "--format", "binary") == 0
         write_features(f, tmp_path / "plain.csv", "csv")
         assert score(tmp_path / "plain.csv") == 0
+
+    def test_binary_file_read_as_csv_is_format_error(self, dataset, tmp_path, capsys):
+        ckpt = tmp_path / "zero.json"
+        zero_checkpoint(ckpt)
+        binary = tmp_path / "x.csv"
+        binary.write_bytes(next((dataset / "features").glob("*.feat")).read_bytes())
+        assert main(["score", "--checkpoint", str(ckpt), "--features", str(binary),
+                     "--segments", "8", "--out", str(tmp_path / "s")]) == 3
+        assert "not UTF-8 text" in capsys.readouterr().err
 
     def test_matches_library_scores(self, dataset, tmp_path):
         ckpt = tmp_path / "m.json"

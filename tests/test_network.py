@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from milrank.exceptions import DimensionMismatchError, FormatError
+from milrank.loss import LossParams, ranking_loss_and_grad
 from milrank.network import (
     MlpModel,
     backward,
@@ -170,6 +172,81 @@ class TestBackward:
         _, trace = forward(model, np.ones((3, 8)))
         with pytest.raises(ValueError):
             backward(model, trace, np.zeros(4))
+
+
+def full_row_backward(model, trace, g):
+    """Reference gradients: every layer runs over every row of the batch,
+    whether or not its score gradient is zero."""
+    dlogits = g * trace.scores * (1.0 - trace.scores)
+    dh2 = dlogits[:, None] @ model.w3
+    if trace.gate2 is not None:
+        dh2 = dh2 * trace.gate2
+    dz1 = dh2 @ model.w2
+    dz1 = dz1 * (trace.gate1 if trace.gate1 is not None else trace.z1 > 0.0)
+    return {"w1": dz1.T @ trace.inputs, "b1": dz1.sum(axis=0),
+            "w2": dh2.T @ trace.h1, "b2": dh2.sum(axis=0),
+            "w3": dlogits[None, :] @ trace.h2, "b3": np.array([dlogits.sum()])}
+
+
+class TestLiveRowBackward:
+    """``backward`` skips rows with a zero logit gradient; it must equal the
+    full-row formula and never read those rows' inputs or activations."""
+
+    P, M = 4, 8
+
+    def batch(self, mode):
+        model = init_model(16, seed=12, hidden1=32, hidden2=8, dropout_rate=0.6)
+        X = np.random.default_rng(12).standard_normal((2 * self.P * self.M, 16))
+        _, trace = forward(model, X, mode=mode, rng_seed=5)
+        return model, trace
+
+    def ranking_gradient(self, trace):
+        S = trace.scores.reshape(2 * self.P, self.M)
+        terms = ranking_loss_and_grad(S[:self.P], S[self.P:], LossParams(margin=2.0))
+        return np.concatenate((terms.grad_pos, terms.grad_neg)).ravel() / self.P
+
+    def cases(self):
+        model, trace = self.batch("train")
+        rng = np.random.default_rng(13)
+        yield "every row live", model, trace, rng.uniform(0.1, 1.0, trace.batch_size)
+        yield "no row live", model, trace, np.zeros(trace.batch_size)
+        yield "negatives at their argmax", model, trace, self.ranking_gradient(trace)
+        scattered = rng.uniform(0.1, 1.0, trace.batch_size) * (rng.random(trace.batch_size) < 0.3)
+        scattered[0] = 0.0
+        yield "scattered, row 0 dead", model, trace, scattered
+        model, trace = self.batch("eval")
+        yield "eval trace", model, trace, self.ranking_gradient(trace)
+
+    def assert_matches(self, grads, ref):
+        assert grads.keys() == ref.keys()
+        for name, want in ref.items():
+            got = grads[name]
+            assert got.shape == want.shape
+            assert np.isfinite(got).all()
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * np.max(np.abs(want), initial=0.0)
+
+    def test_cases_cover_both_gates_and_live_counts(self):
+        live = {}
+        for label, _, trace, g in self.cases():
+            live[label] = np.count_nonzero(g)
+            assert (trace.gate1 is None) == (label == "eval trace")
+        rows = 2 * self.P * self.M
+        assert live["every row live"] == rows and live["no row live"] == 0
+        # margin 2 keeps every hinge active: all positive rows plus one argmax per negative bag
+        assert live["negatives at their argmax"] == live["eval trace"] == self.P * self.M + self.P
+        assert 0 < live["scattered, row 0 dead"] < rows
+
+    def test_matches_full_row_formula(self):
+        for _, model, trace, g in self.cases():
+            self.assert_matches(backward(model, trace, g), full_row_backward(model, trace, g))
+
+    def test_dead_rows_never_read(self):
+        for _, model, trace, g in self.cases():
+            dead = g == 0.0
+            poisoned = dataclasses.replace(trace, inputs=trace.inputs.copy(), h1=trace.h1.copy())
+            poisoned.inputs[dead] = np.nan
+            poisoned.h1[dead] = np.nan
+            self.assert_matches(backward(model, poisoned, g), full_row_backward(model, trace, g))
 
 
 class TestDropoutExpectation:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from loss_oracle import oracle_batch
 from milrank.exceptions import DataError, NonFiniteLossError
 from milrank.features import Bag
 from milrank.loss import LossParams, weight_decay_grads, weight_decay_term
-from milrank.network import backward, dropout_masks, forward_with_masks, init_model
+from milrank.network import backward, dropout_masks, forward, forward_with_masks, init_model
 from milrank.optim import (
     AdagradState,
     TrainConfig,
@@ -288,6 +289,81 @@ class TestVectorisedStep:
         assert abs(draws.mean() - keep) <= 4.0 * sigma
         for mask in (mask1, mask2):  # both sites, not just the pooled draw
             assert abs(mask.mean() - keep) <= 4.0 * math.sqrt(keep * (1.0 - keep) / mask.size)
+
+
+def frozen(arrays):
+    return {name: arr.copy() for name, arr in arrays.items()}
+
+
+def assert_unchanged(arrays, copies):
+    assert arrays.keys() == copies.keys()
+    for name, arr in arrays.items():
+        assert arr.dtype == copies[name].dtype and arr.tobytes() == copies[name].tobytes(), name
+
+
+def assert_no_shared_memory(outputs, inputs):
+    for out in outputs:
+        assert not any(np.shares_memory(out, arr) for arr in inputs)
+
+
+class TestPurity:
+    """The step's building blocks leave their inputs unchanged and return fresh arrays."""
+
+    def setup_method(self):
+        self.model = init_model(6, seed=8, hidden1=8, hidden2=4, dropout_rate=0.5)
+        rng = np.random.default_rng(8)
+        self.grads = {name: rng.standard_normal(arr.shape) for name, arr in self.model.params().items()}
+        self.state = AdagradState(frozen({name: rng.uniform(0.0, 2.0, arr.shape)
+                                          for name, arr in self.model.params().items()}))
+
+    def test_adagrad_step(self):
+        params, grads, acc = (frozen(self.model.params()), frozen(self.grads),
+                              frozen(self.state.accumulators))
+        stepped, new_state = adagrad_step(self.model, self.grads, self.state)
+        assert_unchanged(self.model.params(), params)
+        assert_unchanged(self.grads, grads)
+        assert_unchanged(self.state.accumulators, acc)
+        inputs = [*self.model.params().values(), *self.grads.values(),
+                  *self.state.accumulators.values()]
+        assert_no_shared_memory([*stepped.params().values(), *new_state.accumulators.values()],
+                                inputs)
+
+    def test_weight_decay_grads(self):
+        params = frozen(self.model.params())
+        extra = weight_decay_grads(self.model, LossParams(weight_decay=0.25))
+        assert_unchanged(self.model.params(), params)
+        assert_no_shared_memory(extra.values(), self.model.params().values())
+        for name, arr in extra.items():
+            assert np.array_equal(arr, 0.5 * params[name])
+
+    def test_backward(self):
+        X = np.random.default_rng(9).standard_normal((5, 6))
+        _, trace = forward(self.model, X, mode="train", rng_seed=3)
+        fields = {f.name: getattr(trace, f.name) for f in dataclasses.fields(trace)
+                  if isinstance(getattr(trace, f.name), np.ndarray)}
+        copies = frozen(fields)
+        params = frozen(self.model.params())
+        g = np.array([0.5, 0.0, -1.0, 0.0, 2.0])
+        g_copy = g.copy()
+        grads = backward(self.model, trace, g)
+        assert_unchanged(fields, copies)
+        assert_unchanged(self.model.params(), params)
+        assert g.tobytes() == g_copy.tobytes()
+        assert_no_shared_memory(grads.values(), [*fields.values(), *self.model.params().values()])
+
+    def test_snapshot_models_are_distinct_and_kept(self):
+        pos, neg = toy_bags(4, 4)
+        kept = []
+        cfg = toy_config(iterations=6, snapshot_every=1)
+        final, _ = train_on_bags(pos, neg, cfg,
+                                 snapshot_hook=lambda it, model: kept.append((model, frozen(model.params()))))
+        assert len(kept) == 6
+        for model, params in kept:
+            assert_unchanged(model.params(), params)
+        arrays = [arr for model, _ in kept for arr in model.params().values()]
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+        assert_unchanged(final.params(), kept[-1][1])
 
 
 class TestTrainingLogCsv:
