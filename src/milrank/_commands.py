@@ -29,6 +29,7 @@ from .metrics import entry_annotation, evaluate_manifest, score_video, write_roc
 from .network import load_checkpoint, save_checkpoint
 from .optim import TrainConfig, train
 from .synthetic import SynthSpec, generate
+from .validation import content_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -97,10 +98,7 @@ BASELINE_FLAGS = (
 
 def _parse_config_file(path: Path) -> dict[str, str]:
     values = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
+    for lineno, text in content_lines(path):
         if "=" not in text:
             raise ValueError(f"{path}: line {lineno}: expected key=value")
         key, value = text.split("=", 1)

@@ -24,7 +24,7 @@ from .exceptions import DataError, DimensionMismatchError, FormatError
 from .features import DEFAULT_SEGMENTS, DatasetManifest, FeatureMatrix, l2_normalize_rows, \
     load_features, make_bag
 from .network import sigmoid
-from .validation import check_feature_array
+from .validation import check_feature_array, read_json
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,8 @@ class LinearModel:
     c_reg: float
 
     def __post_init__(self):
+        if np.ndim(self.w) != 1 or np.size(self.w) == 0:
+            raise ValueError("w must be a non-empty 1-D vector")
         if not (np.isfinite(self.w).all() and np.isfinite(self.b)):
             raise ValueError("linear model parameters must be finite")
 
@@ -106,9 +108,9 @@ def save_linear(model: LinearModel, path) -> None:
 
 def load_linear(path) -> LinearModel:
     path = Path(path)
+    doc = read_json(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
         return LinearModel(w=np.array(doc["w"], dtype=np.float64), b=float(doc["b"]),
                            c_reg=float(doc["c_reg"]))
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(path, "document", f"invalid baseline checkpoint: {e}") from None

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import DataError, FormatError
+from .validation import content_lines, read_text
 
 MAGIC = b"MILF"
 BINARY_VERSION = 1
@@ -59,24 +60,17 @@ class Bag:
     video_id: str
     label: int
     segments: np.ndarray  # (m, dim)
-    segment_frame_ranges: tuple[tuple[int, int], ...]
+    n_frames: int
 
     def __post_init__(self):
         if self.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {self.label}")
-        m = self.segments.shape[0]
-        if m < 2:
+        if self.segments.shape[0] < 2:
             raise ValueError("a bag needs at least 2 segments")
-        if len(self.segment_frame_ranges) != m:
-            raise ValueError("segment count and frame-range count differ")
 
     @property
     def n_segments(self) -> int:
         return self.segments.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.segment_frame_ranges[-1][1]
 
 
 @dataclass(frozen=True)
@@ -144,10 +138,7 @@ def _load_binary(path: Path) -> FeatureMatrix:
 
 
 def _load_csv(path: Path) -> FeatureMatrix:
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as e:
-        raise FormatError(path, f"byte {e.start}", "not UTF-8 text") from None
+    lines = read_text(path).splitlines()
     if not lines:
         raise FormatError(path, "line 1", "empty file")
     header = lines[0].split(",")
@@ -212,42 +203,34 @@ def segment_bounds(count: int, m: int) -> np.ndarray:
     return (np.arange(m + 1, dtype=np.int64) * count) // m
 
 
-def partition_segments(f: FeatureMatrix, m: int) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
-    """Average clip rows into ``m`` contiguous temporal segments.
+def spread_over_frames(segment_values: np.ndarray, n_frames: int) -> np.ndarray:
+    """Repeat each of m segment values over its group of the m-way split of the frames."""
+    return np.repeat(segment_values, np.diff(segment_bounds(n_frames, len(segment_values))))
 
-    When a video has fewer clips than segments, empty groups inherit the
-    feature of the nearest preceding non-empty group (leading empties take
-    the first non-empty group's feature), so every bag has exactly ``m``
-    rows.  Frame ranges come from the same proportional split of the frame
-    axis and always partition [0, n_frames).
+
+def partition_segments(f: FeatureMatrix, m: int) -> np.ndarray:
+    """Average clip rows into ``m`` contiguous temporal segments, an (m, dim) matrix.
+
+    Segment g averages the clips of group g of ``segment_bounds(n_clips, m)``.
+    A group is empty only when a video has fewer clips than segments, and
+    then every group holds at most one clip: an empty group [s, s) takes
+    clip s-1, the one of the nearest preceding non-empty group, and leading
+    empties take clip 0, so every bag has exactly ``m`` rows.
     """
     if m < 2:
         raise ValueError(f"segment count must be at least 2, got {m}")
-    clip_bounds = segment_bounds(f.n_clips, m)
+    bounds = segment_bounds(f.n_clips, m)
+    starts = np.minimum(bounds[:-1], np.maximum(bounds[1:] - 1, 0)).tolist()
+    ends = np.maximum(bounds[1:], 1).tolist()
     segments = np.empty((m, f.dim), dtype=np.float64)
-    last_filled = -1
-    pending_leading = []
-    for g in range(m):
-        lo, hi = int(clip_bounds[g]), int(clip_bounds[g + 1])
-        if hi > lo:
-            segments[g] = f.data[lo:hi].mean(axis=0)
-            if last_filled < 0:
-                for p in pending_leading:
-                    segments[p] = segments[g]
-            last_filled = g
-        elif last_filled >= 0:
-            segments[g] = segments[last_filled]
-        else:
-            pending_leading.append(g)
-    frame_bounds = segment_bounds(f.n_frames, m)
-    ranges = tuple((int(frame_bounds[g]), int(frame_bounds[g + 1])) for g in range(m))
-    return segments, ranges
+    for g, (lo, hi) in enumerate(zip(starts, ends)):
+        segments[g] = f.data[lo:hi].mean(axis=0)
+    return segments
 
 
 def make_bag(f: FeatureMatrix, label: int, m: int = DEFAULT_SEGMENTS) -> Bag:
     """Normalize, segment, and label a video's features."""
-    segments, ranges = partition_segments(l2_normalize_rows(f), m)
-    return Bag(video_id=f.video_id, label=label, segments=segments, segment_frame_ranges=ranges)
+    return Bag(f.video_id, label, partition_segments(l2_normalize_rows(f), m), f.n_frames)
 
 
 def load_manifest(path, split: str) -> DatasetManifest:
@@ -258,29 +241,31 @@ def load_manifest(path, split: str) -> DatasetManifest:
     referenced file must exist.  ``#`` starts a comment.
     """
     path = Path(path)
-    base = path.parent
     entries = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
+    for lineno, text in content_lines(path):
         tokens = text.split()
         if len(tokens) not in (2, 3):
             raise FormatError(path, f"line {lineno}", f"expected 2 or 3 fields, found {len(tokens)}")
         if tokens[1] not in ("0", "1"):
             raise FormatError(path, f"line {lineno}", f"label must be 0 or 1, got {tokens[1]!r}")
-        feature_path = (base / tokens[0]).resolve()
-        if not feature_path.is_file():
-            raise FileNotFoundError(f"{path}: line {lineno}: feature file not found: {feature_path}")
-        annotation_path = None
-        if len(tokens) == 3:
-            annotation_path = (base / tokens[2]).resolve()
-            if not annotation_path.is_file():
-                raise FileNotFoundError(f"{path}: line {lineno}: annotation file not found: {annotation_path}")
+        feature_path = _listed_file(path, lineno, "feature", tokens[0])
+        annotation_path = _listed_file(path, lineno, "annotation", tokens[2]) if len(tokens) == 3 else None
         entries.append(ManifestEntry(feature_path, int(tokens[1]), annotation_path))
     if not entries:
         raise DataError(f"{path}: manifest contains no entries")
     return DatasetManifest(entries=tuple(entries), split=split)
+
+
+def _listed_file(manifest_path: Path, lineno: int, kind: str, name: str) -> Path:
+    """The resolved path of a file a manifest line names, relative to the manifest."""
+    listed = manifest_path.parent / name
+    try:
+        listed = listed.resolve()
+        if listed.is_file():
+            return listed
+    except (OSError, RuntimeError, ValueError):  # too long, a symlink loop, a NUL byte
+        pass
+    raise FileNotFoundError(f"{manifest_path}: line {lineno}: {kind} file not found: {listed}")
 
 
 def load_bags(manifest: DatasetManifest, m: int = DEFAULT_SEGMENTS, dtype=np.float64) -> list[Bag]:
@@ -293,6 +278,6 @@ def load_bags(manifest: DatasetManifest, m: int = DEFAULT_SEGMENTS, dtype=np.flo
     for entry in manifest.entries:
         bag = make_bag(load_features(entry.feature_path), entry.label, m)
         if dtype is not np.float64:
-            bag = Bag(bag.video_id, bag.label, bag.segments.astype(dtype), bag.segment_frame_ranges)
+            bag = Bag(bag.video_id, bag.label, bag.segments.astype(dtype), bag.n_frames)
         bags.append(bag)
     return bags

@@ -22,10 +22,10 @@ from .features import (
     ManifestEntry,
     load_features,
     make_bag,
-    segment_bounds,
+    spread_over_frames,
 )
 from .network import MlpModel, forward
-from .validation import check_score_vector
+from .validation import check_score_vector, content_lines
 
 
 @dataclass(frozen=True)
@@ -74,12 +74,9 @@ class RocCurve:
 
 
 def expand_scores(bag: Bag, segment_scores) -> ScoreTimeline:
-    """Spread segment scores piecewise-constant over the bag's frame ranges."""
+    """Spread segment scores piecewise-constant over the bag's frames."""
     scores = check_score_vector(segment_scores, length=bag.n_segments, name="segment_scores")
-    frames = np.empty(bag.n_frames, dtype=np.float64)
-    for (start, end), score in zip(bag.segment_frame_ranges, scores):
-        frames[start:end] = score
-    return ScoreTimeline(video_id=bag.video_id, frame_scores=frames)
+    return ScoreTimeline(video_id=bag.video_id, frame_scores=spread_over_frames(scores, bag.n_frames))
 
 
 def _pool_frames(timelines, annotations) -> tuple[np.ndarray, np.ndarray]:
@@ -167,10 +164,7 @@ def load_annotations(path) -> dict[str, TemporalAnnotation]:
     """
     path = Path(path)
     out: dict[str, TemporalAnnotation] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
+    for lineno, text in content_lines(path):
         tokens = text.split()
         if len(tokens) < 2:
             raise FormatError(path, f"line {lineno}", "expected '<video_id> <n_frames> [pairs...]'")
@@ -246,8 +240,7 @@ def evaluate_manifest(manifest: DatasetManifest, segment_scorer, m: int = DEFAUL
     for entry in manifest.entries:
         f = load_features(entry.feature_path)
         scores = check_score_vector(segment_scorer(f), length=m, name="segment_scores")
-        frames = np.repeat(scores, np.diff(segment_bounds(f.n_frames, m)))
-        timeline = ScoreTimeline(video_id=f.video_id, frame_scores=frames)
+        timeline = ScoreTimeline(video_id=f.video_id, frame_scores=spread_over_frames(scores, f.n_frames))
         annotations.append(entry_annotation(entry, f.video_id, f.n_frames, annotation_cache))
         if entry.label == 0:
             normal_timelines.append(timeline)

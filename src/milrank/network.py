@@ -24,6 +24,7 @@ import numpy as np
 
 from .exceptions import DimensionMismatchError, FormatError
 from .rng import STREAM_DROPOUT, STREAM_INIT, derive_rng
+from .validation import read_json
 
 PARAM_FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
 CHECKPOINT_VERSION = 1
@@ -44,6 +45,8 @@ class MlpModel:
     def __post_init__(self):
         h1, d = self.w1.shape
         h2 = self.w2.shape[0]
+        if min(d, h1, h2) < 1:
+            raise ValueError("layer widths must be positive")
         if self.w2.shape != (h2, h1) or self.w3.shape != (1, h2):
             raise ValueError("layer shapes do not chain")
         if self.b1.shape != (h1,) or self.b2.shape != (h2,) or self.b3.shape != (1,):
@@ -72,22 +75,17 @@ class MlpModel:
 
 @dataclass
 class ForwardTrace:
-    """Cached activations and dropout masks from one forward pass.
+    """What backward reads of one forward pass.
 
     ``gate1`` is the layer-1 relu derivative times the scaled dropout mask,
     and ``gate2`` the scaled layer-2 mask, so backward applies each site in
-    one multiply; both are None where that site's mask is.
+    one multiply; each is None where that site had no mask.
     """
 
     inputs: np.ndarray
-    z1: np.ndarray
     h1: np.ndarray  # post-relu, post-dropout
     h2: np.ndarray  # post-dropout
-    logits: np.ndarray
     scores: np.ndarray
-    mask1: np.ndarray | None
-    mask2: np.ndarray | None
-    keep_prob: float
     gate1: np.ndarray | None = None
     gate2: np.ndarray | None = None
 
@@ -104,12 +102,11 @@ def init_model(dim: int, seed: int, hidden1: int = 512, hidden2: int = 32,
     [-sqrt(6/(fan_in+fan_out)), +sqrt(6/(fan_in+fan_out))], which keeps
     initial scores near 0.5 so the ranking hinge is active from step 0.
     """
-    if dim < 1 or hidden1 < 1 or hidden2 < 1:
-        raise ValueError("layer widths must be positive")
     rng = derive_rng(seed, STREAM_INIT)
 
     def draw(fan_out, fan_in):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        # MlpModel rejects a width below 1; max() keeps a zero fan from dividing first
+        limit = np.sqrt(6.0 / max(fan_in + fan_out, 1))
         return rng.uniform(-limit, limit, size=(fan_out, fan_in))
 
     return MlpModel(
@@ -202,11 +199,8 @@ def forward_with_masks(model: MlpModel, X: np.ndarray,
     if mask2 is not None:
         gate2 = mask2 * (1.0 / keep)
         h2 *= gate2
-    logits = (h2 @ model.w3.T + model.b3)[:, 0]
-    scores = sigmoid(logits)
-    trace = ForwardTrace(inputs=X, z1=z1, h1=h1, h2=h2, logits=logits, scores=scores,
-                         mask1=mask1, mask2=mask2, keep_prob=keep, gate1=gate1, gate2=gate2)
-    return scores, trace
+    scores = sigmoid((h2 @ model.w3.T + model.b3)[:, 0])
+    return scores, ForwardTrace(inputs=X, h1=h1, h2=h2, scores=scores, gate1=gate1, gate2=gate2)
 
 
 def backward(model: MlpModel, trace: ForwardTrace, dloss_dscores) -> dict[str, np.ndarray]:
@@ -237,7 +231,8 @@ def backward(model: MlpModel, trace: ForwardTrace, dloss_dscores) -> dict[str, n
     dw2 = dh2.T @ trace.h1[live]
     db2 = dh2.sum(axis=0)
     dz1 = dh2 @ model.w2
-    dz1 *= trace.gate1[live] if trace.gate1 is not None else trace.z1[live] > 0.0
+    # without a layer-1 mask h1 = relu(z1), so h1 > 0 exactly where z1 > 0
+    dz1 *= trace.gate1[live] if trace.gate1 is not None else trace.h1[live] > 0.0
     # The trainer stacks its positive bags, whose rows are all live, first:
     # the run of live rows from row 0 is read in place and only the rows
     # after it are gathered, instead of copying every live input row.
@@ -263,10 +258,7 @@ def save_checkpoint(model: MlpModel, path) -> None:
 
 def load_checkpoint(path) -> MlpModel:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise FormatError(path, f"line {e.lineno}", f"invalid JSON: {e.msg}") from None
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise FormatError(path, "document", "expected a JSON object")
     if doc.get("version") != CHECKPOINT_VERSION:
@@ -276,8 +268,10 @@ def load_checkpoint(path) -> MlpModel:
         h1, h2 = (int(w) for w in doc["widths"])
         dropout_rate = float(doc["dropout_rate"])
         params = doc["params"]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(path, "header", f"missing or malformed field: {e}") from None
+    if min(dim, h1, h2) < 0:
+        raise FormatError(path, "header", "negative layer width")
     if not isinstance(params, dict):
         raise FormatError(path, "field 'params'", "expected a JSON object")
     shapes = {"w1": (h1, dim), "b1": (h1,), "w2": (h2, h1), "b2": (h2,), "w3": (1, h2), "b3": (1,)}
@@ -286,7 +280,7 @@ def load_checkpoint(path) -> MlpModel:
         want = int(np.prod(shape))
         try:
             flat = np.array(params.get(name), dtype=np.float64)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             flat = None
         if flat is None or flat.shape != (want,):
             raise FormatError(path, f"field 'params.{name}'", f"expected {want} numbers")

@@ -19,6 +19,7 @@ from .features import DEFAULT_SEGMENTS, FRAMES_PER_CLIP, FeatureMatrix, segment_
 from .metrics import score_video
 from .network import MlpModel
 from .rng import STREAM_SYNTH, derive_rng
+from .validation import content_lines
 
 ANNOTATION_SLOTS = 2  # pad every annotation line to this many interval pairs
 
@@ -145,14 +146,8 @@ def generate(spec: SynthSpec, out_dir, test_pos: int = 0, test_neg: int = 0) -> 
 
 def load_planted(path) -> dict[str, tuple[int, int]]:
     """Read a planted.csv back into a video-id lookup."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    out = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        video_id, start, end = line.split(",")
-        out[video_id] = (int(start), int(end))
-    return out
+    rows = (text.split(",") for lineno, text in content_lines(path) if lineno > 1)
+    return {video_id: (int(start), int(end)) for video_id, start, end in rows}
 
 
 def planted_segment_range(n_clips: int, m: int, clip_start: int, clip_end: int) -> set[int]:

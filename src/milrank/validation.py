@@ -1,10 +1,41 @@
-"""Input validation helpers used by the estimators and core operations."""
+"""Input validation helpers, and the text readers every file parser starts from."""
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 
-from .exceptions import DimensionMismatchError
+from .exceptions import DimensionMismatchError, FormatError
+
+
+def read_text(path) -> str:
+    """A text file's contents; bytes that are not UTF-8 raise FormatError."""
+    path = Path(path)
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(path, f"byte {e.start}", "not UTF-8 text") from None
+
+
+def read_json(path):
+    """A JSON document from a UTF-8 text file; text that does not decode (bad
+    syntax, nesting too deep, an integer too long) raises FormatError."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
+        raise FormatError(path, "document", f"invalid JSON: {e}") from None
+
+
+def content_lines(path):
+    """``(line number, text)`` of each line of a text file, stripped of its ``#``
+    comment and surrounding whitespace; lines left empty are skipped."""
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+        text = line.split("#", 1)[0].strip()
+        if text:
+            yield lineno, text
 
 
 def check_feature_array(X, *, dim: int | None = None, name: str = "X") -> np.ndarray:

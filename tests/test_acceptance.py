@@ -108,7 +108,7 @@ def tie_free_instance(seed):
     gap_p = np.sort(S[0])[-1] - np.sort(S[0])[-2]
     gap_q = np.sort(S[1])[-1] - np.sort(S[1])[-2]
     hinge_margin = abs(1.0 - S[0].max() + S[1].max())
-    min_preact = np.abs(trace.z1).min()
+    min_preact = np.abs(X @ model.w1.T + model.b1).min()
     if min(gap_p, gap_q) < 1e-3 or hinge_margin < 1e-3 or min_preact < 1e-3:
         return None
     return model, X, mask1, mask2

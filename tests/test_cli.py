@@ -332,6 +332,8 @@ class TestScore:
          "params": {"w1": 5, "b1": [], "w2": [], "b2": [], "w3": [], "b3": []}},
         {"version": 1, "dim": 1, "widths": [1, 1], "dropout_rate": 1.5,
          "params": {"w1": [0.0], "b1": [0.0], "w2": [0.0], "b2": [0.0], "w3": [0.0], "b3": [0.0]}},
+        {"version": 1, "dim": 8, "widths": [0, 1], "dropout_rate": 0.6,
+         "params": {"w1": [], "b1": [], "w2": [], "b2": [0.0], "w3": [0.0], "b3": [0.0]}},
     ])
     def test_malformed_checkpoint_is_format_error(self, dataset, tmp_path, capsys, doc):
         ckpt = tmp_path / "bad.json"
@@ -427,7 +429,8 @@ class TestBaselineCommands:
 
 
 class TestBaselineCheckpoint:
-    @pytest.mark.parametrize("field, value", [("w", ["a"]), ("b", "x"), ("c_reg", [1.0])])
+    @pytest.mark.parametrize("field, value", [("w", ["a"]), ("b", "x"), ("c_reg", [1.0]),
+                                              ("w", 1.0), ("w", [[0.0] * 8]), ("w", [])])
     def test_malformed_value_is_format_error(self, dataset, tmp_path, field, value):
         doc = {"w": [0.0] * 8, "b": 0.0, "c_reg": 1.0}
         doc[field] = value
@@ -436,6 +439,32 @@ class TestBaselineCheckpoint:
         assert main(["baseline-eval", "--model", str(model_path),
                      "--manifest", str(dataset / "manifest_test.txt"),
                      "--segments", "8", "--out", str(tmp_path / "e")]) == 3
+
+
+class TestTextReaders:
+    """Every text reader turns bytes that are not UTF-8 into a FormatError, exit 3."""
+
+    @pytest.mark.parametrize("reader", ["manifest", "annotation", "config", "checkpoint", "baseline"])
+    def test_non_utf8_is_format_error(self, dataset, tmp_path, capsys, reader):
+        binary = tmp_path / "binary.txt"
+        binary.write_bytes(b"ok\n\xff\xfe\n")
+        ckpt = tmp_path / "zero.json"
+        zero_checkpoint(ckpt)
+        manifest = dataset / "case.txt"
+        manifest.write_text(f"features/pos003.feat 1 {binary}\n")
+        out = ["--out", str(tmp_path / "out")]
+        argv = {
+            "manifest": ["ingest-check", "--manifest", str(binary)],
+            "annotation": ["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest), *out],
+            "config": ["train", "--manifest", str(dataset / "manifest.txt"), "--config", str(binary),
+                       *out],
+            "checkpoint": ["score", "--checkpoint", str(binary),
+                           "--features", str(dataset / "features" / "pos003.feat"), *out],
+            "baseline": ["baseline-eval", "--model", str(binary),
+                         "--manifest", str(dataset / "manifest_test.txt"), *out],
+        }[reader]
+        assert main(argv) == 3
+        assert f"{binary}: byte 3: not UTF-8 text" in capsys.readouterr().err
 
 
 class TestThreadPeek:

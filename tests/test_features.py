@@ -12,6 +12,7 @@ from milrank.features import (
     make_bag,
     partition_segments,
     segment_bounds,
+    spread_over_frames,
     write_features,
 )
 
@@ -145,21 +146,23 @@ class TestPartition:
     def test_even_division_averages_pairs(self):
         rng = np.random.default_rng(1)
         f = fm(rng.standard_normal((64, 3)))
-        segments, ranges = partition_segments(f, 32)
+        segments = partition_segments(f, 32)
         for g in range(32):
             assert np.allclose(segments[g], f.data[2 * g:2 * g + 2].mean(axis=0))
-        assert ranges[0] == (0, 32) and ranges[-1] == (992, 1024)
+        painted = spread_over_frames(np.arange(32), f.n_frames)
+        assert np.flatnonzero(painted == 0).tolist() == list(range(32))
+        assert np.flatnonzero(painted == 31).tolist() == list(range(992, 1024))
 
     def test_single_clip_inherited_everywhere(self):
         f = fm(np.array([[1.0, 2.0, 3.0]]))
-        segments, _ = partition_segments(f, 32)
+        segments = partition_segments(f, 32)
         assert segments.shape == (32, 3)
         assert np.array_equal(segments, np.tile(f.data[0], (32, 1)))
 
     def test_33_clips_brute_force_oracle(self):
         rng = np.random.default_rng(2)
         f = fm(rng.standard_normal((33, 4)))
-        segments, _ = partition_segments(f, 32)
+        segments = partition_segments(f, 32)
         bounds = [(33 * g) // 32 for g in range(33)]
         sizes = [bounds[g + 1] - bounds[g] for g in range(32)]
         assert sizes == [1] * 31 + [2]
@@ -178,7 +181,7 @@ class TestPartition:
             m = int(rng.integers(2, 40))
             n_frames = int(rng.integers(1, 2000))
             f = fm(rng.standard_normal((n_clips, 3)), n_frames=n_frames)
-            segments, ranges = partition_segments(f, m)
+            segments = partition_segments(f, m)
             bounds = segment_bounds(n_clips, m)
             assert np.all(np.diff(bounds) >= 0)
             assert bounds[0] == 0 and bounds[-1] == n_clips
@@ -189,10 +192,9 @@ class TestPartition:
                     group = f.data[lo:hi]
                     assert np.all(segments[g] >= group.min(axis=0) - 1e-12)
                     assert np.all(segments[g] <= group.max(axis=0) + 1e-12)
-            # frame ranges partition [0, n_frames)
-            assert ranges[0][0] == 0 and ranges[-1][1] == n_frames
-            for (_, end_a), (start_b, _) in zip(ranges, ranges[1:]):
-                assert end_a == start_b
+            # the painted frames cover [0, n_frames) in segment order
+            painted = spread_over_frames(np.arange(m), n_frames)
+            assert painted.shape == (n_frames,) and np.all(np.diff(painted) >= 0)
 
 
 class TestMakeBag:
@@ -204,7 +206,7 @@ class TestMakeBag:
     def test_segment_count_contract(self):
         bag = make_bag(fm(np.random.default_rng(0).standard_normal((10, 3))), 1, m=6)
         assert bag.segments.shape == (6, 3)
-        assert len(bag.segment_frame_ranges) == 6
+        assert bag.n_frames == 160
 
     def test_bad_label_rejected(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from milrank.features import (
     load_manifest,
     make_bag,
     partition_segments,
+    segment_bounds,
     write_features,
 )
 from milrank.metrics import (
@@ -29,8 +30,8 @@ from milrank.metrics import (
 from milrank.network import MlpModel, forward, init_model
 
 
-def two_segment_bag(ranges=((0, 5), (5, 10))):
-    return Bag("v", 0, np.zeros((2, 3)), tuple(ranges))
+def two_segment_bag():
+    return Bag("v", 0, np.zeros((2, 3)), 10)
 
 
 def timeline(video_id, scores):
@@ -80,8 +81,9 @@ class TestExpandScores:
         bag = make_bag(f, 1, 8)
         scores = rng.uniform(0, 1, 8)
         tl = expand_scores(bag, scores)
+        bounds = segment_bounds(77, 8)
         for frame in range(77):
-            for (start, end), s in zip(bag.segment_frame_ranges, scores):
+            for start, end, s in zip(bounds[:-1], bounds[1:], scores):
                 if start <= frame < end:
                     assert tl.frame_scores[frame] == s
                     break
@@ -213,7 +215,7 @@ class TestScoreVideo:
         model = init_model(3, seed=9, hidden1=4, hidden2=2)
         f = FeatureMatrix("v", np.random.default_rng(9).standard_normal((6, 3)), 96)
         scores, tl = score_video(model, f, 4)
-        segments, _ = partition_segments(l2_normalize_rows(f), 4)
+        segments = partition_segments(l2_normalize_rows(f), 4)
         manual, _ = forward(model, segments, mode="eval")
         bag = make_bag(f, 0, 4)
         assert np.array_equal(scores, manual)

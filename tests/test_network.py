@@ -7,6 +7,7 @@ import pytest
 from milrank.exceptions import DimensionMismatchError, FormatError
 from milrank.loss import LossParams, ranking_loss_and_grad
 from milrank.network import (
+    ForwardTrace,
     MlpModel,
     backward,
     clone_with_params,
@@ -161,7 +162,7 @@ class TestBackward:
         X = np.abs(np.random.default_rng(9).standard_normal((1, 8))) + 0.1
         scores, trace = forward(model, X, mode="train", rng_seed=77)
         grads = backward(model, trace, np.ones(1))
-        dropped_units = np.flatnonzero(~trace.mask1[0])
+        dropped_units = np.flatnonzero(~dropout_masks(model, 1, 77)[0][0])
         assert dropped_units.size > 0  # seed chosen so at least one unit drops
         for j in dropped_units:
             assert not grads["w1"][j].any()
@@ -173,6 +174,10 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(model, trace, np.zeros(4))
 
+    def test_trace_holds_only_what_backward_reads(self):
+        names = [field.name for field in dataclasses.fields(ForwardTrace)]
+        assert names == ["inputs", "h1", "h2", "scores", "gate1", "gate2"]
+
 
 def full_row_backward(model, trace, g):
     """Reference gradients: every layer runs over every row of the batch,
@@ -182,7 +187,8 @@ def full_row_backward(model, trace, g):
     if trace.gate2 is not None:
         dh2 = dh2 * trace.gate2
     dz1 = dh2 @ model.w2
-    dz1 = dz1 * (trace.gate1 if trace.gate1 is not None else trace.z1 > 0.0)
+    z1 = trace.inputs @ model.w1.T + model.b1
+    dz1 = dz1 * (trace.gate1 if trace.gate1 is not None else z1 > 0.0)
     return {"w1": dz1.T @ trace.inputs, "b1": dz1.sum(axis=0),
             "w2": dh2.T @ trace.h1, "b2": dh2.sum(axis=0),
             "w3": dlogits[None, :] @ trace.h2, "b3": np.array([dlogits.sum()])}
@@ -256,11 +262,11 @@ class TestDropoutExpectation:
         model = init_model(8, seed=21, hidden1=16, hidden2=8, dropout_rate=0.6)
         x = np.random.default_rng(10).standard_normal(8)
         _, eval_trace = forward(model, x[None, :], mode="eval")
-        eval_logit = eval_trace.logits[0]
+        eval_logit = (eval_trace.h2 @ model.w3.T + model.b3)[0, 0]
         assert abs(eval_logit) > 0.01  # keep the relative comparison meaningful
         stacked = np.tile(x, (10_000, 1))
         _, train_trace = forward(model, stacked, mode="train", rng_seed=0)
-        mean_logit = train_trace.logits.mean()
+        mean_logit = (train_trace.h2 @ model.w3.T + model.b3).mean()
         assert abs(mean_logit - eval_logit) <= 0.10 * abs(eval_logit)
 
 

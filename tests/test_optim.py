@@ -22,9 +22,7 @@ from milrank.optim import (
 
 
 def toy_bag(video_id, label, rng, m=4, dim=6):
-    segments = rng.standard_normal((m, dim))
-    ranges = tuple((i * 8, (i + 1) * 8) for i in range(m))
-    return Bag(video_id, label, segments, ranges)
+    return Bag(video_id, label, rng.standard_normal((m, dim)), 8 * m)
 
 
 def toy_bags(n_pos, n_neg, seed=0, m=4, dim=6):
