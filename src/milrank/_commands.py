@@ -165,8 +165,6 @@ def cmd_ingest_check(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = TrainConfig.from_values(**_settings(args, TRAIN_FLAGS, TRAIN_DEFAULTS))
-    import numpy as np
-    cache_dtype = np.float32 if args.cache32 else np.float64
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -175,7 +173,7 @@ def cmd_train(args) -> int:
     def snapshot_hook(iteration, snapshot_model):
         save_checkpoint(snapshot_model, out_dir / f"ckpt_{iteration}.json")
 
-    model, log = train(manifest, cfg, cache_dtype=cache_dtype, snapshot_hook=snapshot_hook)
+    model, log = train(manifest, cfg, snapshot_hook=snapshot_hook)
     save_checkpoint(model, out_dir / f"ckpt_{cfg.iterations}.json")
     log.write_csv(out_dir / "training_log.csv")
     if cfg.snapshot_every:
@@ -262,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     _add_setting_flags(p, TRAIN_FLAGS, TRAIN_DEFAULTS)
-    p.add_argument("--cache32", action="store_true", help="cache bags as float32")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("score", parents=[common], help="score one feature file with a checkpoint")

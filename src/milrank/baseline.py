@@ -24,7 +24,7 @@ from .exceptions import DataError, DimensionMismatchError, FormatError
 from .features import DEFAULT_SEGMENTS, DatasetManifest, FeatureMatrix, l2_normalize_rows, \
     load_features, make_bag
 from .network import sigmoid
-from .validation import check_feature_array, read_json
+from .validation import check_feature_array, json_number, json_numbers, read_json
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ def load_linear(path) -> LinearModel:
     path = Path(path)
     doc = read_json(path)
     try:
-        return LinearModel(w=np.array(doc["w"], dtype=np.float64), b=float(doc["b"]),
-                           c_reg=float(doc["c_reg"]))
+        return LinearModel(w=json_numbers(doc["w"]), b=float(json_number(doc["b"])),
+                           c_reg=float(json_number(doc["c_reg"])))
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(path, "document", f"invalid baseline checkpoint: {e}") from None

@@ -15,7 +15,7 @@ import numpy as np
 
 from .baseline import FIT_DEFAULTS, LinearModel, fit_linear, sigmoid, video_feature
 from .exceptions import NotFittedError
-from .features import DEFAULT_SEGMENTS, FeatureMatrix, l2_normalize_rows, make_bag
+from .features import DEFAULT_SEGMENTS, FeatureMatrix, l2_normalize_rows, training_bag
 from .metrics import ScoreTimeline, score_video
 from .network import forward
 from .optim import TrainConfig, train_on_bags
@@ -71,11 +71,12 @@ class _Estimator:
 class MilRankingDetector(_Estimator):
     """Anomaly scorer trained from video-level labels only.
 
-    fit(X, y) forms one bag per video and trains the scoring network with
-    the max-instance ranking hinge plus smoothness/sparsity terms;
-    score_samples(X) returns per-row anomaly scores in (0, 1).  Its params
-    are the TrainConfig settings (``TrainConfig.defaults``) except the probe
-    video, which is the first positive video.
+    fit(X, y) forms one training bag per video, as ``load_bags`` does for
+    a manifest, and trains the scoring network with the max-instance
+    ranking hinge plus smoothness/sparsity terms; score_samples(X) returns
+    per-row anomaly scores in (0, 1).  Its params are the TrainConfig
+    settings (``TrainConfig.defaults``) except the probe video, which is the
+    first positive video.
     """
 
     _defaults = {name: value for name, value in TrainConfig.defaults().items()
@@ -84,7 +85,7 @@ class MilRankingDetector(_Estimator):
     def fit(self, X, y):
         videos = _as_feature_matrices(X)
         labels = check_binary_labels(y, n=len(videos))
-        bags = [make_bag(f, int(label), self.segments_per_bag)
+        bags = [training_bag(f, int(label), self.segments_per_bag)
                 for f, label in zip(videos, labels)]
         pos = [b for b in bags if b.label == 1]
         neg = [b for b in bags if b.label == 0]

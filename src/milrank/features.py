@@ -9,7 +9,10 @@ supported:
 * csv: header line ``n_clips,dim,n_frames``, then one clip per line with
   ``dim`` comma-separated decimal floats.
 
-Arithmetic is done in float64 throughout; only file storage is 32-bit.
+Featurization (normalization and segment means) is done in float64.
+``make_bag`` keeps its float64 result, which scoring and evaluation use;
+``training_bag`` rounds it once to float32, the dtype the trainer's layer-1
+GEMMs run in.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ class Bag:
 
     video_id: str
     label: int
-    segments: np.ndarray  # (m, dim)
+    segments: np.ndarray  # (m, dim), float32 in training bags
     n_frames: int
 
     def __post_init__(self):
@@ -233,6 +236,16 @@ def make_bag(f: FeatureMatrix, label: int, m: int = DEFAULT_SEGMENTS) -> Bag:
     return Bag(f.video_id, label, partition_segments(l2_normalize_rows(f), m), f.n_frames)
 
 
+def training_bag(f: FeatureMatrix, label: int, m: int = DEFAULT_SEGMENTS) -> Bag:
+    """``make_bag`` with its float64 segment means rounded once to float32.
+
+    Every bag the trainer reads is built here, so a run from a manifest and
+    an estimator fit on the same feature matrices see the same bytes.
+    """
+    bag = make_bag(f, label, m)
+    return Bag(bag.video_id, bag.label, bag.segments.astype(np.float32), bag.n_frames)
+
+
 def load_manifest(path, split: str) -> DatasetManifest:
     """Parse a dataset manifest.
 
@@ -268,16 +281,11 @@ def _listed_file(manifest_path: Path, lineno: int, kind: str, name: str) -> Path
     raise FileNotFoundError(f"{manifest_path}: line {lineno}: {kind} file not found: {listed}")
 
 
-def load_bags(manifest: DatasetManifest, m: int = DEFAULT_SEGMENTS, dtype=np.float64) -> list[Bag]:
-    """Featurize every manifest entry into a bag, in manifest order.
+def load_bags(manifest: DatasetManifest, m: int = DEFAULT_SEGMENTS) -> list[Bag]:
+    """Featurize every manifest entry into a training bag, in manifest order.
 
-    ``dtype`` controls the in-memory cache (float32 halves the footprint
-    for large datasets; arithmetic is still done in float64 downstream).
+    Segments are cached as float32, half the float64 footprint, and are the
+    inputs of the trainer's float32 layer-1 GEMMs.
     """
-    bags = []
-    for entry in manifest.entries:
-        bag = make_bag(load_features(entry.feature_path), entry.label, m)
-        if dtype is not np.float64:
-            bag = Bag(bag.video_id, bag.label, bag.segments.astype(dtype), bag.n_frames)
-        bags.append(bag)
-    return bags
+    return [training_bag(load_features(entry.feature_path), entry.label, m)
+            for entry in manifest.entries]

@@ -9,6 +9,11 @@ Maps a segment feature vector to an anomaly score in (0, 1):
 Dropout uses the inverted convention (kept units scaled by 1/keep_prob)
 and is active only in train mode, so eval needs no rescaling.  Gradients
 are computed by hand-written reverse mode over the cached forward trace.
+The two layer-1 GEMMs, ``X @ W1.T`` in ``forward_with_masks`` and
+``dZ1.T @ X`` in ``backward``, run in the dtype of the inputs X: float32
+for the trainer's cached bags, float64 for ``forward`` (and so for
+scoring and evaluation).  Parameters, their gradients, layers 2-3 and
+the scores are float64 for either input dtype.
 Dropout masks are thresholded 32-bit words of a Philox counter-based
 generator (see rng.py), so a given ``rng_seed`` yields the same masks on
 every platform.
@@ -24,7 +29,7 @@ import numpy as np
 
 from .exceptions import DimensionMismatchError, FormatError
 from .rng import STREAM_DROPOUT, STREAM_INIT, derive_rng
-from .validation import read_json
+from .validation import json_number, json_numbers, read_json
 
 PARAM_FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
 CHECKPOINT_VERSION = 1
@@ -184,9 +189,12 @@ def forward_with_masks(model: MlpModel, X: np.ndarray,
     The trainer uses this to run one stacked pass over a whole batch with
     the masks of one ``dropout_masks`` draw for all of its rows.  A masked
     site applies relu, mask and 1/keep scaling as one multiply by its gate.
+    Layer 1 multiplies in the dtype of ``X``, with ``w1`` cast to it; its
+    product, and so every later activation, is float64 from then on.  Both
+    casts are no-ops for float64 input.
     """
     keep = 1.0 - model.dropout_rate
-    z1 = X @ model.w1.T
+    z1 = (X @ model.w1.astype(X.dtype, copy=False).T).astype(np.float64, copy=False)
     z1 += model.b1
     gate1 = gate2 = None
     if mask1 is None:
@@ -211,7 +219,9 @@ def backward(model: MlpModel, trace: ForwardTrace, dloss_dscores) -> dict[str, n
     nothing to any parameter gradient, so layers 3 to 1 run on the other
     rows only and never read those rows' inputs or activations.  The ranking
     loss reaches every positive segment but only the top-scoring segment of
-    each negative bag, so all other negative rows are skipped.
+    each negative bag, so all other negative rows are skipped.  ``dW1``
+    is multiplied in the dtype of the trace's inputs and returned, like
+    every other gradient, as float64.
     """
     g = np.asarray(dloss_dscores, dtype=np.float64)
     if g.shape != (trace.batch_size,):
@@ -237,9 +247,10 @@ def backward(model: MlpModel, trace: ForwardTrace, dloss_dscores) -> dict[str, n
     # the run of live rows from row 0 is read in place and only the rows
     # after it are gathered, instead of copying every live input row.
     k = int(np.searchsorted(live - np.arange(live.size), 0, side="right"))
-    dw1 = dz1[:k].T @ trace.inputs[:k]
+    dz1_x = dz1.astype(trace.inputs.dtype, copy=False)
+    dw1 = (dz1_x[:k].T @ trace.inputs[:k]).astype(np.float64, copy=False)
     if k < live.size:
-        dw1 += dz1[k:].T @ trace.inputs[live[k:]]
+        dw1 += dz1_x[k:].T @ trace.inputs[live[k:]]
     db1 = dz1.sum(axis=0)
     return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2, "w3": dw3, "b3": db3}
 
@@ -264,9 +275,9 @@ def load_checkpoint(path) -> MlpModel:
     if doc.get("version") != CHECKPOINT_VERSION:
         raise FormatError(path, "field 'version'", f"unsupported version {doc.get('version')!r}")
     try:
-        dim = int(doc["dim"])
-        h1, h2 = (int(w) for w in doc["widths"])
-        dropout_rate = float(doc["dropout_rate"])
+        dim = json_number(doc["dim"], integer=True)
+        h1, h2 = (json_number(w, integer=True) for w in doc["widths"])
+        dropout_rate = float(json_number(doc["dropout_rate"]))
         params = doc["params"]
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(path, "header", f"missing or malformed field: {e}") from None
@@ -279,7 +290,7 @@ def load_checkpoint(path) -> MlpModel:
     for name, shape in shapes.items():
         want = int(np.prod(shape))
         try:
-            flat = np.array(params.get(name), dtype=np.float64)
+            flat = json_numbers(params.get(name))
         except (TypeError, ValueError, OverflowError):
             flat = None
         if flat is None or flat.shape != (want,):

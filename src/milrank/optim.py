@@ -6,6 +6,9 @@ them one-to-one.  It draws one pair of dropout masks for all 2P bags,
 runs a single stacked forward pass in train mode, evaluates the ranking
 loss and its score gradient on the (2P, m) score matrix at once, and
 back-propagates the mean pair loss plus weight decay through the network.
+Batches are stacked in the bags' dtype, float32 for ``load_bags``, so the
+layer-1 GEMMs ``X @ W1.T`` and ``dZ1.T @ X`` run in float32; weights,
+Adagrad state, gradients, layers 2-3 and the loss stay float64.
 Everything is keyed off integer seeds, so a run is a pure function of its
 inputs: identical config and data give bit-identical checkpoints and logs
 on one platform.
@@ -193,13 +196,15 @@ def dropout_seed(cfg_seed: int, iteration: int) -> int:
     return mix_to_seed(cfg_seed, iteration)
 
 
-def _check_bags(bags: list[Bag], cfg: TrainConfig, dim: int) -> None:
+def _check_bags(bags: list[Bag], cfg: TrainConfig, dim: int, dtype: np.dtype) -> None:
     for bag in bags:
         if bag.n_segments != cfg.segments_per_bag:
             raise ValueError(
                 f"bag {bag.video_id} has {bag.n_segments} segments, config expects {cfg.segments_per_bag}")
         if bag.segments.shape[1] != dim:
             raise ValueError(f"bag {bag.video_id} has dim {bag.segments.shape[1]}, expected {dim}")
+        if bag.segments.dtype != dtype:
+            raise ValueError(f"bag {bag.video_id} has dtype {bag.segments.dtype}, expected {dtype}")
 
 
 def train_on_bags(pos_bags: list[Bag], neg_bags: list[Bag], cfg: TrainConfig,
@@ -207,14 +212,17 @@ def train_on_bags(pos_bags: list[Bag], neg_bags: list[Bag], cfg: TrainConfig,
                   snapshot_hook=None) -> tuple[MlpModel, TrainingLog]:
     """Run the training loop over in-memory bags.
 
+    Every bag must have the segments' dtype of the first positive bag;
+    each batch is stacked in that dtype, which layer 1 computes in.
     ``snapshot_hook(iteration, model)``, if given, fires at every
     ``snapshot_every`` multiple alongside the probe-score snapshot.
     """
     if not pos_bags or not neg_bags:
         raise DataError("training needs at least one positive and one negative bag")
     dim = pos_bags[0].segments.shape[1]
-    _check_bags(pos_bags, cfg, dim)
-    _check_bags(neg_bags, cfg, dim)
+    dtype = pos_bags[0].segments.dtype
+    _check_bags(pos_bags, cfg, dim, dtype)
+    _check_bags(neg_bags, cfg, dim, dtype)
 
     model = init_model(dim, cfg.seed, cfg.hidden1, cfg.hidden2, cfg.dropout_rate)
     state = AdagradState.for_model(model, cfg.learning_rate, cfg.adagrad_epsilon)
@@ -222,7 +230,7 @@ def train_on_bags(pos_bags: list[Bag], neg_bags: list[Bag], cfg: TrainConfig,
     P = cfg.batch_pos
     m = cfg.segments_per_bag
     log = TrainingLog()
-    X = np.empty((2 * P * m, dim))  # every batch is stacked into this one buffer
+    X = np.empty((2 * P * m, dim), dtype)  # every batch is stacked into this one buffer
 
     for it in range(1, cfg.iterations + 1):
         pos_idx, neg_idx = sample_pair_indices(len(pos_bags), len(neg_bags), cfg, it)
@@ -266,7 +274,7 @@ def train_on_bags(pos_bags: list[Bag], neg_bags: list[Bag], cfg: TrainConfig,
     return model, log
 
 
-def train(manifest: DatasetManifest, cfg: TrainConfig, cache_dtype=np.float64,
+def train(manifest: DatasetManifest, cfg: TrainConfig,
           snapshot_hook=None) -> tuple[MlpModel, TrainingLog]:
     """Featurize a manifest once, then train.
 
@@ -274,7 +282,7 @@ def train(manifest: DatasetManifest, cfg: TrainConfig, cache_dtype=np.float64,
     ``snapshot_every`` iterations) is ``cfg.probe_video_id`` when set,
     otherwise the first positive entry.
     """
-    bags = load_bags(manifest, cfg.segments_per_bag, dtype=cache_dtype)
+    bags = load_bags(manifest, cfg.segments_per_bag)
     pos_bags = [b for b in bags if b.label == 1]
     neg_bags = [b for b in bags if b.label == 0]
     probe_bag = None

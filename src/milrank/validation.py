@@ -29,6 +29,24 @@ def read_json(path):
         raise FormatError(path, "document", f"invalid JSON: {e}") from None
 
 
+def json_number(value, *, integer: bool = False):
+    """``value`` if it is a JSON number (an integer when ``integer``), else
+    TypeError: strings and booleans are not taken for numbers."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise TypeError(f"expected a JSON {'integer' if integer else 'number'}, got {value!r}")
+    return value
+
+
+def json_numbers(values) -> np.ndarray:
+    """A JSON list of numbers as a float64 array.  The dtype numpy infers must
+    be numeric, so strings, booleans, nulls and objects raise TypeError
+    instead of being converted."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise TypeError(f"expected JSON numbers, got values of dtype {arr.dtype}")
+    return arr.astype(np.float64, copy=False)
+
+
 def content_lines(path):
     """``(line number, text)`` of each line of a text file, stripped of its ``#``
     comment and surrounding whitespace; lines left empty are skipped."""

@@ -46,6 +46,17 @@ def zero_checkpoint(path, dim=8, h1=4, h2=2):
     return model
 
 
+def mlp_doc(**changes):
+    """A valid dim-8, widths-[4, 2] checkpoint document, with the named header
+    fields or parameter lists replaced."""
+    params = {"w1": [0.0] * 32, "b1": [0.0] * 4, "w2": [0.0] * 8, "b2": [0.0] * 2,
+              "w3": [0.0] * 2, "b3": [0.0]}
+    doc = {"version": 1, "dim": 8, "widths": [4, 2], "dropout_rate": 0.6, "params": params}
+    for name, value in changes.items():
+        (params if name in params else doc)[name] = value
+    return doc
+
+
 @pytest.fixture
 def dataset(tmp_path):
     out = tmp_path / "data"
@@ -208,8 +219,8 @@ class TestDefaultsFromConfig:
         for flag, field in self.TRAIN_FLAG_FIELDS.items():
             assert helps[flag].endswith(f"(default {defaults[field]})"), (flag, helps[flag])
         assert "(default" in helps["--probe"]
-        expected_flags = {*self.TRAIN_FLAG_FIELDS, "--probe", "--cache32", "--manifest", "--out",
-                          "--config", "--threads"}
+        expected_flags = {*self.TRAIN_FLAG_FIELDS, "--probe", "--manifest", "--out", "--config",
+                          "--threads"}
         assert set(helps) - {"--help"} == expected_flags
 
     def test_baseline_train_help_shows_fit_linear_defaults(self, capsys):
@@ -334,6 +345,16 @@ class TestScore:
          "params": {"w1": [0.0], "b1": [0.0], "w2": [0.0], "b2": [0.0], "w3": [0.0], "b3": [0.0]}},
         {"version": 1, "dim": 8, "widths": [0, 1], "dropout_rate": 0.6,
          "params": {"w1": [], "b1": [], "w2": [], "b2": [0.0], "w3": [0.0], "b3": [0.0]}},
+        # strings and booleans are not numbers, though int()/float() would convert them
+        mlp_doc(dim="8"),
+        mlp_doc(widths="42"),
+        mlp_doc(dropout_rate=False),
+        mlp_doc(w1=["0.0"] * 32),
+        mlp_doc(b1=[False] * 4),
+        mlp_doc(w2=["0"] * 8),
+        mlp_doc(b2=["0.0", "0.0"]),
+        mlp_doc(w3=[True, False]),
+        mlp_doc(b3=["0.5"]),
     ])
     def test_malformed_checkpoint_is_format_error(self, dataset, tmp_path, capsys, doc):
         ckpt = tmp_path / "bad.json"
@@ -342,6 +363,14 @@ class TestScore:
         assert main(["score", "--checkpoint", str(ckpt), "--features", str(feature_path),
                      "--out", str(tmp_path / "s")]) == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_unchanged_mlp_doc_scores(self, dataset, tmp_path):
+        # the malformed cases above each differ from this document in one field
+        ckpt = tmp_path / "good.json"
+        ckpt.write_text(json.dumps(mlp_doc()))
+        feature_path = next((dataset / "features").glob("*.feat"))
+        assert main(["score", "--checkpoint", str(ckpt), "--features", str(feature_path),
+                     "--out", str(tmp_path / "s")]) == 0
 
     def test_format_flag_overrides_extension(self, dataset, tmp_path):
         ckpt = tmp_path / "zero.json"
@@ -430,7 +459,8 @@ class TestBaselineCommands:
 
 class TestBaselineCheckpoint:
     @pytest.mark.parametrize("field, value", [("w", ["a"]), ("b", "x"), ("c_reg", [1.0]),
-                                              ("w", 1.0), ("w", [[0.0] * 8]), ("w", [])])
+                                              ("w", 1.0), ("w", [[0.0] * 8]), ("w", []),
+                                              ("w", ["0.5"] * 8), ("b", "0.5"), ("c_reg", False)])
     def test_malformed_value_is_format_error(self, dataset, tmp_path, field, value):
         doc = {"w": [0.0] * 8, "b": 0.0, "c_reg": 1.0}
         doc[field] = value

@@ -7,10 +7,11 @@ import pytest
 from milrank.baseline import fit_linear
 from milrank.estimator import LinearHingeBaseline, MilRankingDetector
 from milrank.exceptions import NotFittedError
-from milrank.features import FeatureMatrix
+from milrank.features import FeatureMatrix, load_features, load_manifest
 from milrank.loss import LossParams
 from milrank.network import forward
-from milrank.optim import TrainConfig
+from milrank.optim import TrainConfig, train
+from milrank.synthetic import SynthSpec, generate
 
 
 def synthetic_videos(n_pos=3, n_neg=3, dim=8, clips=12, seed=0):
@@ -150,3 +151,19 @@ class TestLinearHingeBaseline:
     def test_not_fitted(self):
         with pytest.raises(NotFittedError):
             LinearHingeBaseline().decision_function(np.ones((2, 8)))
+
+
+class TestOneTrainingCache:
+    def test_fit_matches_train_on_the_manifest(self, tmp_path):
+        # fit and optim.train build their bags through one helper, so the same
+        # videos give the same weights and log to the last bit
+        ds = generate(SynthSpec(n_pos_videos=12, n_neg_videos=12, dim=16, clips_per_video=40,
+                                seed=2), tmp_path)
+        manifest = load_manifest(ds.manifest_path, "train")
+        det = small_detector(iterations=20, batch_pos=4, batch_neg=4)
+        model, log = train(manifest, TrainConfig.from_values(**det.get_params()))
+        det.fit([load_features(entry.feature_path) for entry in manifest.entries],
+                [entry.label for entry in manifest.entries])
+        for name, arr in model.params().items():
+            assert arr.tobytes() == getattr(det.model_, name).tobytes(), name
+        assert det.training_log_.to_csv() == log.to_csv()

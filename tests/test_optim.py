@@ -207,6 +207,18 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train_on_bags(bad_pos + pos[1:], neg, toy_config())
 
+    @pytest.mark.parametrize("odd, rest", [(np.float32, np.float64), (np.float64, np.float32)])
+    @pytest.mark.parametrize("where", ["first positive", "a negative"])
+    def test_mixed_dtype_bags_rejected(self, odd, rest, where):
+        # stacking a float64 bag into a float32 buffer would round it silently
+        pos, neg = toy_bags(4, 4)
+        pos, neg = ([dataclasses.replace(b, segments=b.segments.astype(rest)) for b in bags]
+                    for bags in (pos, neg))
+        bags, i = (pos, 0) if where == "first positive" else (neg, 2)
+        bags[i] = dataclasses.replace(bags[i], segments=bags[i].segments.astype(odd))
+        with pytest.raises(ValueError, match="dtype"):
+            train_on_bags(pos, neg, toy_config())
+
     def test_empty_class_rejected(self):
         pos, _ = toy_bags(4, 0)
         with pytest.raises(DataError):
