@@ -32,15 +32,7 @@ from .features import (
     segment_bounds,
     write_features,
 )
-from .loss import (
-    BagLossBreakdown,
-    LossParams,
-    RankingLoss,
-    batch_loss,
-    pair_loss,
-    pair_loss_grad,
-    ranking_loss_and_grad,
-)
+from .loss import LossParams, RankingLoss, ranking_loss_and_grad
 from .metrics import (
     ManifestEvaluation,
     RocCurve,
@@ -69,7 +61,6 @@ from .optim import (
     TrainConfig,
     TrainingLog,
     adagrad_step,
-    sample_batch,
     train,
     train_on_bags,
 )
@@ -80,7 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdagradState",
     "Bag",
-    "BagLossBreakdown",
     "DataError",
     "DatasetManifest",
     "DimensionMismatchError",
@@ -108,7 +98,6 @@ __all__ = [
     "TrainingLog",
     "adagrad_step",
     "backward",
-    "batch_loss",
     "evaluate_manifest",
     "expand_scores",
     "false_alarm_rate",
@@ -126,12 +115,9 @@ __all__ = [
     "load_planted",
     "localization_accuracy",
     "make_bag",
-    "pair_loss",
-    "pair_loss_grad",
     "partition_segments",
     "ranking_loss_and_grad",
     "roc_auc",
-    "sample_batch",
     "save_checkpoint",
     "save_linear",
     "score_linear",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .baseline import FIT_DEFAULTS, LinearModel, fit_linear, sigmoid, video_feature
+from .baseline import FIT_DEFAULTS, fit_linear, sigmoid, video_feature
 from .exceptions import NotFittedError
 from .features import DEFAULT_SEGMENTS, FeatureMatrix, l2_normalize_rows, training_bag
 from .metrics import ScoreTimeline, score_video
@@ -98,7 +98,7 @@ class MilRankingDetector(_Estimator):
         """Anomaly score per feature row (rows are L2-normalized first)."""
         self._check_fitted()
         rows = _normalized_rows(X, self.model_.dim)
-        scores, _ = forward(self.model_, rows, mode="eval")
+        scores, _ = forward(self.model_, rows)
         return scores
 
     def predict(self, X) -> np.ndarray:
@@ -133,8 +133,3 @@ class LinearHingeBaseline(_Estimator):
 
     def predict(self, X) -> np.ndarray:
         return (self.decision_function(X) >= 0.0).astype(np.int64)
-
-    @property
-    def linear_model_(self) -> LinearModel:
-        self._check_fitted()
-        return self.model_

@@ -1,15 +1,17 @@
 """Ranking objective on paired positive/negative bags.
 
-For one pair, with ``p`` and ``q`` the positive and negative segment
-scores and m segments per bag:
+``ranking_loss_and_grad`` evaluates a batch of P pairs at once.  For
+pair j, with ``p`` and ``q`` its positive and negative segment scores
+(rows j of the two (P, m) score matrices) and m segments per bag:
 
     hinge      = max(0, margin - max_i p[i] + max_i q[i])
     smoothness = smoothness_weight * sum_{i<m-1} (p[i] - p[i+1])^2
     sparsity   = sparsity_weight   * sum_i p[i]
 
-The smoothness and sparsity terms act on the positive bag only.  A batch
-averages the pair totals and adds ``weight_decay`` times the squared
-Frobenius norm of the weight matrices (biases excluded).
+The smoothness and sparsity terms act on the positive bag only.  The
+training loss averages the pair totals over the batch and adds
+``weight_decay_term``: ``weight_decay`` times the squared Frobenius norm
+of the weight matrices (biases excluded).
 """
 
 from __future__ import annotations
@@ -34,19 +36,6 @@ class LossParams:
             raise ValueError("loss weights must be non-negative")
         if self.margin <= 0:
             raise ValueError(f"margin must be positive, got {self.margin}")
-
-
-@dataclass(frozen=True)
-class BagLossBreakdown:
-    hinge: float
-    smoothness: float
-    sparsity: float
-    argmax_pos: int
-    argmax_neg: int
-
-    @property
-    def total(self) -> float:
-        return self.hinge + self.smoothness + self.sparsity
 
 
 @dataclass(frozen=True)
@@ -114,25 +103,6 @@ def ranking_loss_and_grad(S_pos, S_neg, params: LossParams) -> RankingLoss:
                        argmax_pos=i_pos, argmax_neg=i_neg, grad_pos=grad_pos, grad_neg=grad_neg)
 
 
-def _single_pair(pos_scores, neg_scores, params: LossParams) -> RankingLoss:
-    return ranking_loss_and_grad(np.asarray(pos_scores, dtype=np.float64)[None],
-                                 np.asarray(neg_scores, dtype=np.float64)[None], params)
-
-
-def pair_loss(pos_scores, neg_scores, params: LossParams) -> BagLossBreakdown:
-    """Loss terms for one positive/negative bag pair (one row of ``ranking_loss_and_grad``)."""
-    out = _single_pair(pos_scores, neg_scores, params)
-    return BagLossBreakdown(hinge=float(out.hinge[0]), smoothness=float(out.smoothness[0]),
-                            sparsity=float(out.sparsity[0]),
-                            argmax_pos=int(out.argmax_pos[0]), argmax_neg=int(out.argmax_neg[0]))
-
-
-def pair_loss_grad(pos_scores, neg_scores, params: LossParams) -> tuple[np.ndarray, np.ndarray]:
-    """Subgradient of ``pair_loss(...).total`` with respect to both score vectors."""
-    out = _single_pair(pos_scores, neg_scores, params)
-    return out.grad_pos[0], out.grad_neg[0]
-
-
 def weight_decay_term(model: MlpModel, params: LossParams) -> float:
     """weight_decay times the summed squared entries of all weight matrices."""
     total = 0.0
@@ -149,14 +119,3 @@ def weight_decay_grads(model: MlpModel, params: LossParams) -> dict[str, np.ndar
     scale = 2.0 * params.weight_decay
     return {name: scale * getattr(model, name) for name in ("w1", "w2", "w3")}
 
-
-def batch_loss(pairs, params: LossParams, model: MlpModel) -> float:
-    """Mean pair total over a batch plus the weight-decay term.
-
-    Every pair's score vectors must have the same length.
-    """
-    if not pairs:
-        raise ValueError("batch_loss requires at least one pair")
-    S_pos, S_neg = zip(*pairs)
-    totals = ranking_loss_and_grad(S_pos, S_neg, params).totals
-    return float(totals.mean()) + weight_decay_term(model, params)

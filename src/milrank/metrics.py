@@ -151,7 +151,7 @@ def score_video(model: MlpModel, f: FeatureMatrix,
     if f.dim != model.dim:
         raise DimensionMismatchError(f"features have dim {f.dim}, model expects {model.dim}")
     bag = make_bag(f, 0, m)
-    scores, _ = forward(model, bag.segments, mode="eval")
+    scores, _ = forward(model, bag.segments)
     return scores, expand_scores(bag, scores)
 
 

@@ -7,8 +7,10 @@ Maps a segment feature vector to an anomaly score in (0, 1):
     score = sigmoid(W3 h2 + b3)
 
 Dropout uses the inverted convention (kept units scaled by 1/keep_prob)
-and is active only in train mode, so eval needs no rescaling.  Gradients
-are computed by hand-written reverse mode over the cached forward trace.
+and acts only where masks from ``dropout_masks`` are passed to
+``forward_with_masks``, the trainer's pass; ``forward``, the eval pass,
+applies no masks and so needs no rescaling.  Gradients are computed by
+hand-written reverse mode over the cached forward trace.
 The two layer-1 GEMMs, ``X @ W1.T`` in ``forward_with_masks`` and
 ``dZ1.T @ X`` in ``backward``, run in the dtype of the inputs X: float32
 for the trainer's cached bags, float64 for ``forward`` (and so for
@@ -125,10 +127,6 @@ def init_model(dim: int, seed: int, hidden1: int = 512, hidden2: int = 32,
     )
 
 
-def zero_grads(model: MlpModel) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in model.params().items()}
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""
     out = np.empty_like(x, dtype=np.float64)
@@ -157,16 +155,13 @@ def dropout_masks(model: MlpModel, n_rows: int, rng_seed: int) -> tuple[np.ndarr
     return kept[:n1].reshape(n_rows, model.hidden1), kept[n1:].reshape(n_rows, model.hidden2)
 
 
-def forward(model: MlpModel, segments, mode: str = "eval",
-            rng_seed: int | None = None) -> tuple[np.ndarray, ForwardTrace]:
-    """Score a batch of segment features.
+def forward(model: MlpModel, segments) -> tuple[np.ndarray, ForwardTrace]:
+    """Score a batch of segment features in eval mode: no dropout, so the
+    scores are deterministic.
 
-    ``mode`` is "train" (dropout active, ``rng_seed`` required when the
-    model has a non-zero dropout rate) or "eval" (deterministic, no
-    masking or scaling).
+    ``segments`` is checked and converted to float64; training runs
+    ``forward_with_masks`` instead, with masks from ``dropout_masks``.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     X = np.asarray(segments, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError(f"segments must be a non-empty 2-D matrix, got shape {X.shape}")
@@ -174,12 +169,7 @@ def forward(model: MlpModel, segments, mode: str = "eval",
         raise DimensionMismatchError(f"segments have dim {X.shape[1]}, model expects {model.dim}")
     if not np.isfinite(X).all():
         raise ValueError("segments contain non-finite values")
-    mask1 = mask2 = None
-    if mode == "train" and model.dropout_rate > 0.0:
-        if rng_seed is None:
-            raise ValueError("train mode with dropout requires rng_seed")
-        mask1, mask2 = dropout_masks(model, X.shape[0], rng_seed)
-    return forward_with_masks(model, X, mask1, mask2)
+    return forward_with_masks(model, X, None, None)
 
 
 def forward_with_masks(model: MlpModel, X: np.ndarray,
@@ -272,8 +262,13 @@ def load_checkpoint(path) -> MlpModel:
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise FormatError(path, "document", "expected a JSON object")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise FormatError(path, "field 'version'", f"unsupported version {doc.get('version')!r}")
+    version = doc.get("version")
+    try:
+        supported = json_number(version, integer=True) == CHECKPOINT_VERSION
+    except TypeError:
+        supported = False
+    if not supported:
+        raise FormatError(path, "field 'version'", f"unsupported version {version!r}")
     try:
         dim = json_number(doc["dim"], integer=True)
         h1, h2 = (json_number(w, integer=True) for w in doc["widths"])

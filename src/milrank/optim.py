@@ -3,7 +3,7 @@
 Each iteration samples ``batch_pos`` positive and ``batch_neg`` negative
 bags without replacement (with replacement across iterations) and pairs
 them one-to-one.  It draws one pair of dropout masks for all 2P bags,
-runs a single stacked forward pass in train mode, evaluates the ranking
+runs a single stacked ``forward_with_masks`` pass, evaluates the ranking
 loss and its score gradient on the (2P, m) score matrix at once, and
 back-propagates the mean pair loss plus weight decay through the network.
 Batches are stacked in the bags' dtype, float32 for ``load_bags``, so the
@@ -96,12 +96,11 @@ class AdagradState:
     """Per-parameter squared-gradient accumulators plus step settings."""
 
     accumulators: dict[str, np.ndarray]
-    learning_rate: float = 0.001
-    epsilon: float = 1e-8
+    learning_rate: float
+    epsilon: float
 
     @classmethod
-    def for_model(cls, model: MlpModel, learning_rate: float = 0.001,
-                  epsilon: float = 1e-8) -> "AdagradState":
+    def for_model(cls, model: MlpModel, learning_rate: float, epsilon: float) -> "AdagradState":
         acc = {name: np.zeros_like(arr) for name, arr in model.params().items()}
         return cls(accumulators=acc, learning_rate=learning_rate, epsilon=epsilon)
 
@@ -150,22 +149,12 @@ def sample_pair_indices(n_pos: int, n_neg: int, cfg: TrainConfig,
     return pos_idx, neg_idx
 
 
-def sample_batch(pos_bags: list[Bag], neg_bags: list[Bag], cfg: TrainConfig,
-                 iteration: int) -> list[tuple[Bag, Bag]]:
-    """The (positive, negative) bag pairs drawn for one iteration."""
-    pos_idx, neg_idx = sample_pair_indices(len(pos_bags), len(neg_bags), cfg, iteration)
-    return [(pos_bags[i], neg_bags[j]) for i, j in zip(pos_idx, neg_idx)]
-
-
 @dataclass
 class TrainingLog:
     """Per-iteration loss terms plus optional probe-video score snapshots."""
 
     rows: list[tuple[int, float, float, float, float, float]] = field(default_factory=list)
     probe_rows: list[tuple[int, int, float]] = field(default_factory=list)
-
-    def loss_values(self) -> np.ndarray:
-        return np.array([row[1] for row in self.rows])
 
     def to_csv(self) -> str:
         lines = [LOG_HEADER]
@@ -267,7 +256,7 @@ def train_on_bags(pos_bags: list[Bag], neg_bags: list[Bag], cfg: TrainConfig,
         ))
         if cfg.snapshot_every and it % cfg.snapshot_every == 0:
             if probe_bag is not None:
-                probe_scores, _ = forward(model, probe_bag.segments, mode="eval")
+                probe_scores, _ = forward(model, probe_bag.segments)
                 log.probe_rows.extend((it, seg, float(s)) for seg, s in enumerate(probe_scores))
             if snapshot_hook is not None:
                 snapshot_hook(it, model)

@@ -19,8 +19,7 @@ from milrank.baseline import train_linear
 from milrank.features import load_features, load_manifest, write_features
 from milrank.loss import (
     LossParams,
-    pair_loss,
-    pair_loss_grad,
+    ranking_loss_and_grad,
     weight_decay_grads,
     weight_decay_term,
 )
@@ -130,12 +129,12 @@ def test_c01_gradient_correctness():
         def objective(mod):
             s, _ = forward_with_masks(mod, X, mask1, mask2)
             S = s.reshape(2, 4)
-            return pair_loss(S[0], S[1], params).total + weight_decay_term(mod, params)
+            return ranking_loss_and_grad(S[:1], S[1:], params).totals[0] + weight_decay_term(mod, params)
 
         scores, trace = forward_with_masks(model, X, mask1, mask2)
         S = scores.reshape(2, 4)
-        dpos, dneg = pair_loss_grad(S[0], S[1], params)
-        grads = backward(model, trace, np.concatenate([dpos, dneg]))
+        terms = ranking_loss_and_grad(S[:1], S[1:], params)
+        grads = backward(model, trace, np.concatenate([terms.grad_pos[0], terms.grad_neg[0]]))
         for name, extra in weight_decay_grads(model, params).items():
             grads[name] += extra
 
@@ -160,20 +159,20 @@ def test_c01_gradient_correctness():
 
 def test_c02_loss_term_oracle():
     params = LossParams(smoothness_weight=0.1, sparsity_weight=0.1, margin=1.0)
-    out = pair_loss([0.5, 0.7], [0.2, 0.1], params)
-    assert abs(out.hinge - 0.5) <= 1e-12
-    assert abs(out.smoothness - 0.004) <= 1e-12
-    assert abs(out.sparsity - 0.12) <= 1e-12
-    assert abs(out.total - 0.624) <= 1e-12
+    out = ranking_loss_and_grad([[0.5, 0.7]], [[0.2, 0.1]], params)
+    assert abs(out.hinge[0] - 0.5) <= 1e-12
+    assert abs(out.smoothness[0] - 0.004) <= 1e-12
+    assert abs(out.sparsity[0] - 0.12) <= 1e-12
+    assert abs(out.totals[0] - 0.624) <= 1e-12
 
     bare = LossParams(smoothness_weight=0.0, sparsity_weight=0.0)
     rng = np.random.default_rng(2)
     for _ in range(200):
         p = rng.uniform(0, 1, 6)
         q = rng.uniform(0, 1, 6)
-        dpos, dneg = pair_loss_grad(p, q, bare)
-        assert np.count_nonzero(dpos) <= 1
-        assert np.count_nonzero(dneg) <= 1
+        out = ranking_loss_and_grad(p[None], q[None], bare)
+        assert np.count_nonzero(out.grad_pos[0]) <= 1
+        assert np.count_nonzero(out.grad_neg[0]) <= 1
     report(2, "hand-evaluated loss terms reproduced to 1e-12; bare gradient "
               "touches at most one entry per bag")
 
@@ -246,7 +245,7 @@ def test_c07_constraint_effect(trained):
     pos_bags = [b for b in milrank.load_bags(manifest, 32) if b.label == 1]
 
     def stats(model):
-        scores = [forward(model, b.segments, mode="eval")[0] for b in pos_bags]
+        scores = [forward(model, b.segments)[0] for b in pos_bags]
         mean_score = float(np.mean([s.mean() for s in scores]))
         mean_sq_adjacent = float(np.mean([np.mean(np.diff(s) ** 2) for s in scores]))
         return mean_score, mean_sq_adjacent

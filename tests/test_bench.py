@@ -1,18 +1,51 @@
-"""The benchmark still runs against the package: its self-test passes.
+"""The benchmark still runs against the package, and every name bound by
+string still resolves.
 
 ``bench/`` calls the public ``milrank`` API by name (``load_bags``,
-``train_on_bags``, ``TrainConfig`` fields, ``evaluate_manifest`` ...), so an
-API change that breaks it shows here rather than only when it is next run.
+``train_on_bags``, ``TrainConfig`` fields, ``evaluate_manifest`` ...) and its
+traced runs wrap the functions listed in ``bench/spans.WRAPPED`` by module
+and attribute name, so an API change that breaks it shows here rather than
+only when it is next run.  A span whose name no longer resolves is skipped
+by the tracer, so its per-layer metric silently reads 0.
 """
 
+import collections
+import importlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
+import milrank
+
 ROOT = Path(__file__).resolve().parent.parent
+
+# Spans on the per-pair loss wrappers that ``ranking_loss_and_grad`` replaced.
+# They wait on the benchmark repair (ROADMAP item 1), which re-points them.
+STALE_SPANS = {
+    ("milrank.optim", "pair_loss"),
+    ("milrank.optim", "pair_loss_grad"),
+    ("milrank.loss", "pair_loss"),
+}
 
 
 def test_bench_self_test_passes():
     proc = subprocess.run([sys.executable, str(ROOT / "bench" / "run.py"), "self-test"],
                           cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def test_bench_spans_bind():
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    unbound = {(module, attr) for module, attr, _ in spans.WRAPPED
+               if getattr(importlib.import_module(module), attr, None) is None}
+    assert unbound <= STALE_SPANS, sorted(unbound - STALE_SPANS)
+
+
+def test_public_names_resolve_once():
+    repeated = [name for name, n in collections.Counter(milrank.__all__).items() if n > 1]
+    assert not repeated
+    # a name that does not resolve makes ``from milrank import *`` raise
+    assert [name for name in milrank.__all__ if not hasattr(milrank, name)] == []

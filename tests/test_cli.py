@@ -355,6 +355,8 @@ class TestScore:
         mlp_doc(b2=["0.0", "0.0"]),
         mlp_doc(w3=[True, False]),
         mlp_doc(b3=["0.5"]),
+        mlp_doc(version=True),
+        mlp_doc(version=1.0),
     ])
     def test_malformed_checkpoint_is_format_error(self, dataset, tmp_path, capsys, doc):
         ckpt = tmp_path / "bad.json"

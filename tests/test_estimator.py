@@ -106,7 +106,7 @@ class TestMilRankingDetector:
         scaled = 100.0 * rows
         assert np.allclose(det.score_samples(rows), det.score_samples(scaled))
         normalized = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-        direct, _ = forward(det.model_, normalized, mode="eval")
+        direct, _ = forward(det.model_, normalized)
         assert np.array_equal(det.score_samples(rows), direct)
 
     def test_fit_accepts_feature_matrices(self):

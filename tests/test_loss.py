@@ -2,18 +2,31 @@ import numpy as np
 import pytest
 from loss_oracle import oracle_pair
 
-from milrank.loss import (
-    BagLossBreakdown,
-    LossParams,
-    batch_loss,
-    pair_loss,
-    pair_loss_grad,
-    ranking_loss_and_grad,
-    weight_decay_term,
-)
-from milrank.network import init_model
+from milrank.loss import LossParams, ranking_loss_and_grad, weight_decay_term
+from milrank.network import clone_with_params, init_model
 
 ZERO_EXTRAS = LossParams(smoothness_weight=0.0, sparsity_weight=0.0)
+
+
+def one_pair(p, q, params):
+    """``ranking_loss_and_grad`` on the one-pair batch of score vectors p and q."""
+    return ranking_loss_and_grad(np.asarray(p)[None], np.asarray(q)[None], params)
+
+
+def total(p, q, params) -> float:
+    return float(one_pair(p, q, params).totals[0])
+
+
+def grads(p, q, params) -> tuple[np.ndarray, np.ndarray]:
+    out = one_pair(p, q, params)
+    return out.grad_pos[0], out.grad_neg[0]
+
+
+def logged_loss(pairs, params, model) -> float:
+    """The loss ``train_on_bags`` logs: mean pair total plus weight decay."""
+    S_pos, S_neg = zip(*pairs)
+    totals = ranking_loss_and_grad(S_pos, S_neg, params).totals
+    return float(totals.mean()) + weight_decay_term(model, params)
 
 
 def jittered_scores(rng, m):
@@ -32,36 +45,34 @@ def jittered_scores(rng, m):
 class TestPairLoss:
     def test_worked_example(self):
         params = LossParams(smoothness_weight=0.1, sparsity_weight=0.1, margin=1.0)
-        out = pair_loss([0.5, 0.7], [0.2, 0.1], params)
-        assert abs(out.hinge - 0.5) < 1e-12
-        assert abs(out.smoothness - 0.004) < 1e-12
-        assert abs(out.sparsity - 0.12) < 1e-12
-        assert abs(out.total - 0.624) < 1e-12
-        assert out.argmax_pos == 1 and out.argmax_neg == 0
+        out = one_pair([0.5, 0.7], [0.2, 0.1], params)
+        assert abs(out.hinge[0] - 0.5) < 1e-12
+        assert abs(out.smoothness[0] - 0.004) < 1e-12
+        assert abs(out.sparsity[0] - 0.12) < 1e-12
+        assert abs(out.totals[0] - 0.624) < 1e-12
+        assert out.argmax_pos[0] == 1 and out.argmax_neg[0] == 0
 
     def test_perfect_separation(self):
-        out = pair_loss(np.ones(4), np.zeros(4), ZERO_EXTRAS)
-        assert out.total == 0.0
+        assert total(np.ones(4), np.zeros(4), ZERO_EXTRAS) == 0.0
 
     def test_all_zero_scores(self):
-        out = pair_loss(np.zeros(4), np.zeros(4), ZERO_EXTRAS)
-        assert out.hinge == 1.0
+        assert one_pair(np.zeros(4), np.zeros(4), ZERO_EXTRAS).hinge[0] == 1.0
 
     def test_tie_breaks_to_lowest_index(self):
-        out = pair_loss([0.7, 0.7, 0.1], [0.3, 0.3, 0.3], LossParams())
-        assert out.argmax_pos == 0 and out.argmax_neg == 0
+        out = one_pair([0.7, 0.7, 0.1], [0.3, 0.3, 0.3], LossParams())
+        assert out.argmax_pos[0] == 0 and out.argmax_neg[0] == 0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            pair_loss([0.1, 0.2], [0.1, 0.2, 0.3], LossParams())
+            one_pair([0.1, 0.2], [0.1, 0.2, 0.3], LossParams())
 
     def test_single_segment_rejected(self):
         with pytest.raises(ValueError):
-            pair_loss([0.1], [0.2], LossParams())
+            one_pair([0.1], [0.2], LossParams())
 
     def test_scores_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
-            pair_loss([0.1, 1.2], [0.1, 0.2], LossParams())
+            one_pair([0.1, 1.2], [0.1, 0.2], LossParams())
 
 
 class TestPairLossProperties:
@@ -73,19 +84,19 @@ class TestPairLossProperties:
             q = rng.uniform(0, 1, m)
             params = LossParams(smoothness_weight=rng.uniform(0, 1),
                                 sparsity_weight=rng.uniform(0, 1))
-            out = pair_loss(p, q, params)
-            assert out.total >= 0.0
-            assert 0.0 <= out.hinge <= params.margin + 1.0
+            out = one_pair(p, q, params)
+            assert out.totals[0] >= 0.0
+            assert 0.0 <= out.hinge[0] <= params.margin + 1.0
 
     def test_negative_bag_permutation_invariance(self):
         rng = np.random.default_rng(1)
         p = rng.uniform(0, 1, 8)
         q = rng.uniform(0, 1, 8)
-        base = pair_loss(p, q, LossParams())
-        shuffled = pair_loss(p, rng.permutation(q), LossParams())
-        assert shuffled.hinge == base.hinge
-        assert shuffled.smoothness == base.smoothness
-        assert shuffled.sparsity == base.sparsity
+        base = one_pair(p, q, LossParams())
+        shuffled = one_pair(p, rng.permutation(q), LossParams())
+        assert shuffled.hinge[0] == base.hinge[0]
+        assert shuffled.smoothness[0] == base.smoothness[0]
+        assert shuffled.sparsity[0] == base.sparsity[0]
 
     def test_raising_max_pos_never_raises_hinge(self):
         rng = np.random.default_rng(2)
@@ -95,20 +106,20 @@ class TestPairLossProperties:
             i = int(np.argmax(p))
             p_up = p.copy()
             p_up[i] = min(1.0, p[i] + rng.uniform(0, 0.2))
-            assert pair_loss(p_up, q, ZERO_EXTRAS).hinge <= pair_loss(p, q, ZERO_EXTRAS).hinge
+            assert one_pair(p_up, q, ZERO_EXTRAS).hinge[0] <= one_pair(p, q, ZERO_EXTRAS).hinge[0]
 
 
 class TestPairLossGrad:
     def test_flat_region_zero_grad(self):
         # hinge inactive and no extra terms
         params = LossParams(smoothness_weight=0.0, sparsity_weight=0.0)
-        dpos, dneg = pair_loss_grad([1.0, 1.0], [0.0, 0.0], params)
+        dpos, dneg = grads([1.0, 1.0], [0.0, 0.0], params)
         assert not dpos.any() and not dneg.any()
 
     def test_pure_sparsity_grad(self):
         c = 0.37
         params = LossParams(smoothness_weight=0.0, sparsity_weight=c)
-        dpos, dneg = pair_loss_grad([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], params)
+        dpos, dneg = grads([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], params)
         assert np.array_equal(dpos, np.full(3, c))
         assert not dneg.any()
 
@@ -116,7 +127,7 @@ class TestPairLossGrad:
         rng = np.random.default_rng(3)
         for _ in range(100):
             p, q = jittered_scores(rng, 6)
-            dpos, dneg = pair_loss_grad(p, q, ZERO_EXTRAS)
+            dpos, dneg = grads(p, q, ZERO_EXTRAS)
             assert np.count_nonzero(dpos) <= 1
             assert np.count_nonzero(dneg) <= 1
 
@@ -126,16 +137,16 @@ class TestPairLossGrad:
         h = 1e-7
         for _ in range(60):
             p, q = jittered_scores(rng, 5)
-            dpos, dneg = pair_loss_grad(p, q, params)
+            dpos, dneg = grads(p, q, params)
             for vec, grad in ((p, dpos), (q, dneg)):
                 for i in range(5):
                     up, down = vec.copy(), vec.copy()
                     up[i] += h
                     down[i] -= h
                     if vec is p:
-                        fd = (pair_loss(up, q, params).total - pair_loss(down, q, params).total) / (2 * h)
+                        fd = (total(up, q, params) - total(down, q, params)) / (2 * h)
                     else:
-                        fd = (pair_loss(p, up, params).total - pair_loss(p, down, params).total) / (2 * h)
+                        fd = (total(p, up, params) - total(p, down, params)) / (2 * h)
                     assert abs(grad[i] - fd) < 1e-6
 
 
@@ -187,19 +198,6 @@ class TestRankingLossAndGrad:
         assert out.argmax_pos.tolist() == [1, 0]
         assert out.argmax_neg.tolist() == [0, 1]
 
-    def test_pair_wrappers_are_rows_of_the_batch(self):
-        rng = np.random.default_rng(12)
-        S_pos, S_neg = score_matrices(rng, 7, 9)
-        params = LossParams(smoothness_weight=0.1, sparsity_weight=0.05)
-        out = ranking_loss_and_grad(S_pos, S_neg, params)
-        for j in range(7):
-            one = pair_loss(S_pos[j], S_neg[j], params)
-            assert (one.hinge, one.smoothness, one.sparsity, one.argmax_pos, one.argmax_neg) == \
-                (out.hinge[j], out.smoothness[j], out.sparsity[j], out.argmax_pos[j], out.argmax_neg[j])
-            dpos, dneg = pair_loss_grad(S_pos[j], S_neg[j], params)
-            assert np.array_equal(dpos, out.grad_pos[j])
-            assert np.array_equal(dneg, out.grad_neg[j])
-
     @pytest.mark.parametrize("S_pos, S_neg", [
         (np.full((2, 3), 0.5), np.full((2, 4), 0.5)),  # shapes differ
         (np.full((2, 3), 0.5), np.full((3, 3), 0.5)),
@@ -220,19 +218,18 @@ class TestBatchLoss:
         zeroed = model.params()
         for arr in zeroed.values():
             arr[...] = 0.0
-        from milrank.network import clone_with_params
         zero_model = clone_with_params(model, zeroed)
         params = LossParams(weight_decay=123.0)
         pair = ([0.2, 0.8], [0.3, 0.1])
-        expected = pair_loss(*pair, params).total
-        assert batch_loss([pair], params, zero_model) == pytest.approx(expected, abs=1e-15)
+        expected = total(*pair, params)
+        assert logged_loss([pair], params, zero_model) == pytest.approx(expected, abs=1e-15)
 
     def test_two_identical_pairs_average(self):
         model = init_model(4, seed=1, hidden1=3, hidden2=2)
         params = LossParams()
         pair = ([0.2, 0.8], [0.3, 0.1])
-        single = batch_loss([pair], params, model)
-        double = batch_loss([pair, pair], params, model)
+        single = logged_loss([pair], params, model)
+        double = logged_loss([pair, pair], params, model)
         assert double == pytest.approx(single, rel=1e-15)
 
     def test_naive_summation_oracle(self):
@@ -249,11 +246,7 @@ class TestBatchLoss:
         expected /= len(pairs)
         sq = sum(float((w ** 2).sum()) for w in (model.w1, model.w2, model.w3))
         expected += 0.5 * sq
-        assert batch_loss(pairs, params, model) == pytest.approx(expected, abs=1e-12)
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            batch_loss([], LossParams(), init_model(4, seed=0, hidden1=3, hidden2=2))
+        assert logged_loss(pairs, params, model) == pytest.approx(expected, abs=1e-12)
 
 
 class TestParamsValidation:
@@ -264,10 +257,6 @@ class TestParamsValidation:
     def test_zero_margin_rejected(self):
         with pytest.raises(ValueError):
             LossParams(margin=0.0)
-
-    def test_breakdown_total(self):
-        b = BagLossBreakdown(hinge=0.5, smoothness=0.25, sparsity=0.125, argmax_pos=0, argmax_neg=1)
-        assert b.total == 0.875
 
     def test_weight_decay_term_zero_for_zero_weights(self):
         model = init_model(4, seed=0, hidden1=3, hidden2=2)

@@ -216,7 +216,7 @@ class TestScoreVideo:
         f = FeatureMatrix("v", np.random.default_rng(9).standard_normal((6, 3)), 96)
         scores, tl = score_video(model, f, 4)
         segments = partition_segments(l2_normalize_rows(f), 4)
-        manual, _ = forward(model, segments, mode="eval")
+        manual, _ = forward(model, segments)
         bag = make_bag(f, 0, 4)
         assert np.array_equal(scores, manual)
         assert np.array_equal(tl.frame_scores, expand_scores(bag, manual).frame_scores)

@@ -25,6 +25,11 @@ def tiny_model(seed=3, dropout=0.0):
     return init_model(8, seed=seed, hidden1=8, hidden2=4, dropout_rate=dropout)
 
 
+def train_forward(model, X, seed):
+    """The trainer's pass: ``forward_with_masks`` with one ``dropout_masks`` draw for every row."""
+    return forward_with_masks(model, X, *dropout_masks(model, X.shape[0], seed))
+
+
 def zero_model(dim=8, h1=8, h2=4, dropout=0.0):
     return MlpModel(
         w1=np.zeros((h1, dim)), b1=np.zeros(h1),
@@ -64,8 +69,8 @@ class TestForward:
     def test_zero_dropout_train_equals_eval(self):
         model = tiny_model(dropout=0.0)
         X = np.random.default_rng(1).standard_normal((4, 8))
-        train_scores, _ = forward(model, X, mode="train", rng_seed=5)
-        eval_scores, _ = forward(model, X, mode="eval")
+        train_scores, _ = train_forward(model, X, 5)
+        eval_scores, _ = forward(model, X)
         assert np.array_equal(train_scores, eval_scores)
 
     def test_straight_line_oracle(self):
@@ -73,7 +78,7 @@ class TestForward:
         model = tiny_model(seed=11)
         rng = np.random.default_rng(2)
         X = rng.standard_normal((3, 8))
-        scores, _ = forward(model, X, mode="eval")
+        scores, _ = forward(model, X)
         for r in range(3):
             h1 = [max(0.0, sum(model.w1[i, j] * X[r, j] for j in range(8)) + model.b1[i])
                   for i in range(8)]
@@ -89,18 +94,6 @@ class TestForward:
         scores, _ = forward(model, X)
         assert np.all(scores > 0.0) and np.all(scores < 1.0)
 
-    def test_eval_ignores_rng_seed(self):
-        model = tiny_model(dropout=0.5)
-        X = np.random.default_rng(4).standard_normal((4, 8))
-        a, _ = forward(model, X, mode="eval", rng_seed=1)
-        b, _ = forward(model, X, mode="eval", rng_seed=2)
-        assert np.array_equal(a, b)
-
-    def test_train_without_seed_rejected(self):
-        model = tiny_model(dropout=0.5)
-        with pytest.raises(ValueError, match="rng_seed"):
-            forward(model, np.ones((2, 8)), mode="train")
-
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             forward(tiny_model(), np.ones((2, 5)))
@@ -108,9 +101,9 @@ class TestForward:
     def test_train_masks_reproducible(self):
         model = tiny_model(dropout=0.5)
         X = np.random.default_rng(5).standard_normal((4, 8))
-        a, _ = forward(model, X, mode="train", rng_seed=7)
-        b, _ = forward(model, X, mode="train", rng_seed=7)
-        c, _ = forward(model, X, mode="train", rng_seed=8)
+        a, _ = train_forward(model, X, 7)
+        b, _ = train_forward(model, X, 7)
+        c, _ = train_forward(model, X, 8)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -120,7 +113,7 @@ class TestForward:
         rng = np.random.default_rng(6)
         bags = [rng.standard_normal((4, 8)) for _ in range(3)]
         seeds = [101, 202, 303]
-        per_bag = [forward(model, b, mode="train", rng_seed=s)[0] for b, s in zip(bags, seeds)]
+        per_bag = [train_forward(model, b, s)[0] for b, s in zip(bags, seeds)]
         masks = [dropout_masks(model, 4, s) for s in seeds]
         stacked, _ = forward_with_masks(
             model,
@@ -160,7 +153,7 @@ class TestBackward:
     def test_masked_unit_gets_no_gradient(self):
         model = tiny_model(seed=9, dropout=0.5)
         X = np.abs(np.random.default_rng(9).standard_normal((1, 8))) + 0.1
-        scores, trace = forward(model, X, mode="train", rng_seed=77)
+        scores, trace = train_forward(model, X, 77)
         grads = backward(model, trace, np.ones(1))
         dropped_units = np.flatnonzero(~dropout_masks(model, 1, 77)[0][0])
         assert dropped_units.size > 0  # seed chosen so at least one unit drops
@@ -203,7 +196,7 @@ class TestLiveRowBackward:
     def batch(self, mode):
         model = init_model(16, seed=12, hidden1=32, hidden2=8, dropout_rate=0.6)
         X = np.random.default_rng(12).standard_normal((2 * self.P * self.M, 16))
-        _, trace = forward(model, X, mode=mode, rng_seed=5)
+        _, trace = train_forward(model, X, 5) if mode == "train" else forward(model, X)
         return model, trace
 
     def ranking_gradient(self, trace):
@@ -261,11 +254,11 @@ class TestDropoutExpectation:
         # to the eval-mode value; checked loosely over 10,000 mask draws
         model = init_model(8, seed=21, hidden1=16, hidden2=8, dropout_rate=0.6)
         x = np.random.default_rng(10).standard_normal(8)
-        _, eval_trace = forward(model, x[None, :], mode="eval")
+        _, eval_trace = forward(model, x[None, :])
         eval_logit = (eval_trace.h2 @ model.w3.T + model.b3)[0, 0]
         assert abs(eval_logit) > 0.01  # keep the relative comparison meaningful
         stacked = np.tile(x, (10_000, 1))
-        _, train_trace = forward(model, stacked, mode="train", rng_seed=0)
+        _, train_trace = train_forward(model, stacked, 0)
         mean_logit = (train_trace.h2 @ model.w3.T + model.b3).mean()
         assert abs(mean_logit - eval_logit) <= 0.10 * abs(eval_logit)
 

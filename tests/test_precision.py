@@ -110,8 +110,8 @@ def test_mixed_step_matches_float64_oracle(seed):
 def test_float64_forward_is_plain_float64(mode):
     model = init_model(64, seed=4, hidden1=32, hidden2=8, dropout_rate=0.6)
     X = np.random.default_rng(4).standard_normal((40, 64))
-    scores, trace = forward(model, X, mode=mode, rng_seed=9)
     masks = dropout_masks(model, 40, 9) if mode == "train" else (None, None)
+    scores, trace = forward_with_masks(model, X, *masks) if mode == "train" else forward(model, X)
     want, (_, _, h1, _, h2) = reference_forward(model, X, *masks)
     assert scores.tobytes() == want.tobytes()
     assert trace.h1.tobytes() == h1.tobytes() and trace.h2.tobytes() == h2.tobytes()
