@@ -27,9 +27,9 @@ from .exceptions import (
 from .features import DEFAULT_SEGMENTS, load_features, load_manifest
 from .metrics import entry_annotation, evaluate_manifest, score_video, write_roc_csv, write_timeline_csv
 from .network import load_checkpoint, save_checkpoint
-from .optim import TrainConfig, train
+from .optim import LOG_HEADER, PROBE_HEADER, TrainConfig, train
 from .synthetic import SynthSpec, generate
-from .validation import content_lines
+from .validation import content_lines, csv_lines, write_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -175,9 +175,9 @@ def cmd_train(args) -> int:
 
     model, log = train(manifest, cfg, snapshot_hook=snapshot_hook)
     save_checkpoint(model, out_dir / f"ckpt_{cfg.iterations}.json")
-    log.write_csv(out_dir / "training_log.csv")
+    write_lines(out_dir / "training_log.csv", csv_lines(LOG_HEADER, log.rows))
     if cfg.snapshot_every:
-        log.write_probe_csv(out_dir / "probe_scores.csv")
+        write_lines(out_dir / "probe_scores.csv", csv_lines(PROBE_HEADER, log.probe_rows))
     print(f"final loss {log.rows[-1][1]!r}")
     return EXIT_OK
 
@@ -188,10 +188,8 @@ def cmd_score(args) -> int:
     segment_scores, timeline = score_video(model, f, args.segments)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seg_path = out_dir / f"{f.video_id}_segments.csv"
-    lines = ["segment_index,score"]
-    lines.extend(f"{i},{float(s)!r}" for i, s in enumerate(segment_scores))
-    seg_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(out_dir / f"{f.video_id}_segments.csv",
+                csv_lines("segment_index,score", enumerate(segment_scores.tolist())))
     write_timeline_csv(timeline, out_dir / f"{f.video_id}_frames.csv")
     print(f"scored {f.video_id}: {len(segment_scores)} segments, {timeline.n_frames} frames")
     return EXIT_OK

@@ -14,7 +14,6 @@ with labels in {-1, +1}, which is deterministic from the zero start.
 from __future__ import annotations
 
 import inspect
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from .exceptions import DataError, DimensionMismatchError, FormatError
 from .features import DEFAULT_SEGMENTS, DatasetManifest, FeatureMatrix, l2_normalize_rows, \
     load_features, make_bag
 from .network import sigmoid
-from .validation import check_feature_array, json_number, json_numbers, read_json
+from .validation import check_feature_array, json_number, json_numbers, read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,7 @@ def score_linear(model: LinearModel, f: FeatureMatrix, m: int = DEFAULT_SEGMENTS
 
 def save_linear(model: LinearModel, path) -> None:
     doc = {"w": model.w.tolist(), "b": model.b, "c_reg": model.c_reg}
-    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    write_json(path, doc)
 
 
 def load_linear(path) -> LinearModel:

@@ -18,7 +18,7 @@ from .exceptions import NotFittedError
 from .features import DEFAULT_SEGMENTS, FeatureMatrix, l2_normalize_rows, training_bag
 from .metrics import ScoreTimeline, score_video
 from .network import forward
-from .optim import TrainConfig, train_on_bags
+from .optim import TrainConfig, train_bags
 from .validation import check_binary_labels, check_feature_array
 
 
@@ -87,11 +87,7 @@ class MilRankingDetector(_Estimator):
         labels = check_binary_labels(y, n=len(videos))
         bags = [training_bag(f, int(label), self.segments_per_bag)
                 for f, label in zip(videos, labels)]
-        pos = [b for b in bags if b.label == 1]
-        neg = [b for b in bags if b.label == 0]
-        probe = pos[0] if (self.snapshot_every and pos) else None
-        self.model_, self.training_log_ = train_on_bags(
-            pos, neg, TrainConfig.from_values(**self.get_params()), probe_bag=probe)
+        self.model_, self.training_log_ = train_bags(bags, TrainConfig.from_values(**self.get_params()))
         return self
 
     def score_samples(self, X) -> np.ndarray:

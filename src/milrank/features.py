@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import DataError, FormatError
-from .validation import content_lines, read_text
+from .validation import content_lines, read_text, write_lines
 
 MAGIC = b"MILF"
 BINARY_VERSION = 1
@@ -177,18 +177,23 @@ def _load_csv(path: Path) -> FeatureMatrix:
 
 
 def write_features(f: FeatureMatrix, path, format: str = "binary") -> None:
-    """Write a feature file.  Values are stored as float32."""
+    """Write a feature file.  Values are stored as float32; a value that is
+    not finite there raises ValueError and no file is written."""
+    if format not in ("binary", "csv"):
+        raise ValueError(f"unknown feature format {format!r}")
+    with np.errstate(over="ignore"):
+        values = f.data.astype("<f4")
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{path}: clip {bad.argmax()}: value not finite in 32-bit storage")
     path = Path(path)
     if format == "binary":
         header = MAGIC + struct.pack("<4I", BINARY_VERSION, f.n_clips, f.dim, f.n_frames)
-        path.write_bytes(header + f.data.astype("<f4").tobytes(order="C"))
-    elif format == "csv":
-        out = [f"{f.n_clips},{f.dim},{f.n_frames}"]
-        for row in f.data.astype(np.float32):
-            out.append(",".join(np.format_float_positional(v, unique=True, trim="0") for v in row))
-        path.write_text("\n".join(out) + "\n", encoding="utf-8")
+        path.write_bytes(header + values.tobytes(order="C"))
     else:
-        raise ValueError(f"unknown feature format {format!r}")
+        write_lines(path, [f"{f.n_clips},{f.dim},{f.n_frames}",
+                           *(",".join(np.format_float_positional(v, unique=True, trim="0") for v in row)
+                             for row in values)])
 
 
 def l2_normalize_rows(f: FeatureMatrix) -> FeatureMatrix:

@@ -25,7 +25,7 @@ from .features import (
     spread_over_frames,
 )
 from .network import MlpModel, forward
-from .validation import check_score_vector, content_lines
+from .validation import check_score_vector, content_lines, csv_lines, write_lines
 
 
 @dataclass(frozen=True)
@@ -252,14 +252,9 @@ def evaluate_manifest(manifest: DatasetManifest, segment_scorer, m: int = DEFAUL
 
 def write_roc_csv(curve: RocCurve, path) -> None:
     """CSV with one row per threshold plus a final ``AUC,<value>`` line."""
-    lines = ["threshold,fpr,tpr"]
-    for threshold, (fpr, tpr) in zip(curve.thresholds, curve.points):
-        lines.append(f"{threshold!r},{fpr!r},{tpr!r}")
-    lines.append(f"AUC,{curve.auc!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [(threshold, fpr, tpr) for threshold, (fpr, tpr) in zip(curve.thresholds, curve.points)]
+    write_lines(path, csv_lines("threshold,fpr,tpr", rows + [("AUC", curve.auc)]))
 
 
 def write_timeline_csv(timeline: ScoreTimeline, path) -> None:
-    lines = ["frame,score"]
-    lines.extend(f"{i},{float(s)!r}" for i, s in enumerate(timeline.frame_scores))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, csv_lines("frame,score", enumerate(timeline.frame_scores.tolist())))

@@ -23,18 +23,21 @@ every platform.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, FormatError
+from .exceptions import FormatError
 from .rng import STREAM_DROPOUT, STREAM_INIT, derive_rng
-from .validation import json_number, json_numbers, read_json
+from .validation import check_feature_array, json_number, json_numbers, read_json, write_json
 
 PARAM_FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
 CHECKPOINT_VERSION = 1
+# the paper's network: 512-32-1 with 60% dropout
+DEFAULT_HIDDEN1 = 512
+DEFAULT_HIDDEN2 = 32
+DEFAULT_DROPOUT = 0.6
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,7 @@ class MlpModel:
     b2: np.ndarray  # (hidden2,)
     w3: np.ndarray  # (1, hidden2)
     b3: np.ndarray  # (1,)
-    dropout_rate: float = 0.6
+    dropout_rate: float = DEFAULT_DROPOUT
 
     def __post_init__(self):
         h1, d = self.w1.shape
@@ -101,8 +104,8 @@ class ForwardTrace:
         return self.inputs.shape[0]
 
 
-def init_model(dim: int, seed: int, hidden1: int = 512, hidden2: int = 32,
-               dropout_rate: float = 0.6) -> MlpModel:
+def init_model(dim: int, seed: int, hidden1: int = DEFAULT_HIDDEN1, hidden2: int = DEFAULT_HIDDEN2,
+               dropout_rate: float = DEFAULT_DROPOUT) -> MlpModel:
     """Fan-balanced uniform initialization, biases zero, fixed by ``seed``.
 
     Each weight matrix is drawn uniformly from
@@ -159,17 +162,12 @@ def forward(model: MlpModel, segments) -> tuple[np.ndarray, ForwardTrace]:
     """Score a batch of segment features in eval mode: no dropout, so the
     scores are deterministic.
 
-    ``segments`` is checked and converted to float64; training runs
-    ``forward_with_masks`` instead, with masks from ``dropout_masks``.
+    ``segments`` is checked and converted to float64 by
+    ``check_feature_array``; training runs ``forward_with_masks`` instead,
+    with masks from ``dropout_masks``.
     """
-    X = np.asarray(segments, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise ValueError(f"segments must be a non-empty 2-D matrix, got shape {X.shape}")
-    if X.shape[1] != model.dim:
-        raise DimensionMismatchError(f"segments have dim {X.shape[1]}, model expects {model.dim}")
-    if not np.isfinite(X).all():
-        raise ValueError("segments contain non-finite values")
-    return forward_with_masks(model, X, None, None)
+    return forward_with_masks(model, check_feature_array(segments, dim=model.dim, name="segments"),
+                              None, None)
 
 
 def forward_with_masks(model: MlpModel, X: np.ndarray,
@@ -254,7 +252,7 @@ def save_checkpoint(model: MlpModel, path) -> None:
         "dropout_rate": model.dropout_rate,
         "params": {name: arr.ravel().tolist() for name, arr in model.params().items()},
     }
-    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    write_json(path, doc)
 
 
 def load_checkpoint(path) -> MlpModel:

@@ -17,7 +17,6 @@ on one platform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +24,9 @@ from .exceptions import DataError, NonFiniteLossError
 from .features import DEFAULT_SEGMENTS, Bag, DatasetManifest, load_bags
 from .loss import LossParams, ranking_loss_and_grad, weight_decay_grads, weight_decay_term
 from .network import (
+    DEFAULT_DROPOUT,
+    DEFAULT_HIDDEN1,
+    DEFAULT_HIDDEN2,
     MlpModel,
     backward,
     clone_with_params,
@@ -34,6 +36,7 @@ from .network import (
     init_model,
 )
 from .rng import STREAM_SAMPLER, derive_rng, mix_to_seed
+from .validation import csv_lines
 
 LOG_HEADER = "iteration,loss,hinge_mean,smooth_mean,sparse_mean,reg"
 PROBE_HEADER = "iteration,segment_index,score"
@@ -53,9 +56,9 @@ class TrainConfig:
     loss_params: LossParams = field(default_factory=LossParams)
     snapshot_every: int = 0
     probe_video_id: str | None = None
-    hidden1: int = 512
-    hidden2: int = 32
-    dropout_rate: float = 0.6
+    hidden1: int = DEFAULT_HIDDEN1
+    hidden2: int = DEFAULT_HIDDEN2
+    dropout_rate: float = DEFAULT_DROPOUT
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -157,22 +160,7 @@ class TrainingLog:
     probe_rows: list[tuple[int, int, float]] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        lines = [LOG_HEADER]
-        for it, loss, hinge, smooth, sparse, reg in self.rows:
-            lines.append(f"{it},{loss!r},{hinge!r},{smooth!r},{sparse!r},{reg!r}")
-        return "\n".join(lines) + "\n"
-
-    def to_probe_csv(self) -> str:
-        lines = [PROBE_HEADER]
-        for it, seg, score in self.probe_rows:
-            lines.append(f"{it},{seg},{score!r}")
-        return "\n".join(lines) + "\n"
-
-    def write_csv(self, path) -> None:
-        Path(path).write_text(self.to_csv(), encoding="utf-8")
-
-    def write_probe_csv(self, path) -> None:
-        Path(path).write_text(self.to_probe_csv(), encoding="utf-8")
+        return "".join(f"{line}\n" for line in csv_lines(LOG_HEADER, self.rows))
 
 
 def dropout_seed(cfg_seed: int, iteration: int) -> int:
@@ -263,24 +251,26 @@ def train_on_bags(pos_bags: list[Bag], neg_bags: list[Bag], cfg: TrainConfig,
     return model, log
 
 
-def train(manifest: DatasetManifest, cfg: TrainConfig,
-          snapshot_hook=None) -> tuple[MlpModel, TrainingLog]:
-    """Featurize a manifest once, then train.
+def train_bags(bags: list[Bag], cfg: TrainConfig, snapshot_hook=None) -> tuple[MlpModel, TrainingLog]:
+    """Split labelled bags into positives and negatives, then train.
 
     The probe video (whose eval-mode scores are snapshotted every
     ``snapshot_every`` iterations) is ``cfg.probe_video_id`` when set,
-    otherwise the first positive entry.
+    otherwise the first positive bag.
     """
-    bags = load_bags(manifest, cfg.segments_per_bag)
     pos_bags = [b for b in bags if b.label == 1]
     neg_bags = [b for b in bags if b.label == 0]
     probe_bag = None
-    if cfg.snapshot_every:
-        if cfg.probe_video_id is not None:
-            matches = [b for b in bags if b.video_id == cfg.probe_video_id]
-            if not matches:
-                raise DataError(f"probe video {cfg.probe_video_id!r} not in manifest")
-            probe_bag = matches[0]
-        elif pos_bags:
-            probe_bag = pos_bags[0]
+    if cfg.snapshot_every and cfg.probe_video_id is not None:
+        probe_bag = next((b for b in bags if b.video_id == cfg.probe_video_id), None)
+        if probe_bag is None:
+            raise DataError(f"probe video {cfg.probe_video_id!r} not in manifest")
+    elif cfg.snapshot_every and pos_bags:
+        probe_bag = pos_bags[0]
     return train_on_bags(pos_bags, neg_bags, cfg, probe_bag=probe_bag, snapshot_hook=snapshot_hook)
+
+
+def train(manifest: DatasetManifest, cfg: TrainConfig,
+          snapshot_hook=None) -> tuple[MlpModel, TrainingLog]:
+    """Featurize a manifest once, then ``train_bags``."""
+    return train_bags(load_bags(manifest, cfg.segments_per_bag), cfg, snapshot_hook)

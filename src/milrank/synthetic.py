@@ -19,7 +19,7 @@ from .features import DEFAULT_SEGMENTS, FRAMES_PER_CLIP, FeatureMatrix, segment_
 from .metrics import score_video
 from .network import MlpModel
 from .rng import STREAM_SYNTH, derive_rng
-from .validation import content_lines
+from .validation import content_lines, csv_lines, write_lines
 
 ANNOTATION_SLOTS = 2  # pad every annotation line to this many interval pairs
 
@@ -85,63 +85,41 @@ def generate(spec: SynthSpec, out_dir, test_pos: int = 0, test_neg: int = 0) -> 
     run_len = max(1, int(round(spec.anomaly_fraction * spec.clips_per_video)))
     manifest_lines: dict[str, list[str]] = {"train": [], "test": []}
     annotation_lines = []
-    planted_lines = ["video_id,clip_start,clip_end"]
     planted: dict[str, tuple[int, int]] = {}
     feature_paths = []
-
-    def emit(video_id: str, clips: np.ndarray, label: int,
-             intervals: list[tuple[int, int]], split: str):
-        path = features_dir / f"{video_id}.feat"
-        write_features(FeatureMatrix(video_id, clips, n_frames), path, "binary")
-        feature_paths.append(path)
-        manifest_lines[split].append(f"features/{video_id}.feat {label} annotations.txt")
-        pads = [(-1, -1)] * (ANNOTATION_SLOTS - len(intervals))
-        pairs = " ".join(f"{a} {b}" for a, b in intervals + pads)
-        annotation_lines.append(f"{video_id} {n_frames} {pairs}")
-
-    def emit_positive(index: int, split: str):
-        video_id = f"pos{index:03d}"
-        clips = rng.normal(0.0, spec.noise_sigma, size=(spec.clips_per_video, spec.dim))
-        start = int(rng.integers(0, spec.clips_per_video - run_len + 1))
-        clips[start:start + run_len] += spec.separation * direction
-        planted[video_id] = (start, start + run_len)
-        planted_lines.append(f"{video_id},{start},{start + run_len}")
-        emit(video_id, clips, 1,
-             [(start * FRAMES_PER_CLIP, (start + run_len) * FRAMES_PER_CLIP)], split)
-
-    def emit_negative(index: int, split: str):
-        video_id = f"neg{index:03d}"
-        clips = rng.normal(0.0, spec.noise_sigma, size=(spec.clips_per_video, spec.dim))
-        emit(video_id, clips, 0, [], split)
-
-    for i in range(spec.n_pos_videos):
-        emit_positive(i, "train")
-    for i in range(spec.n_neg_videos):
-        emit_negative(i, "train")
-    for i in range(test_pos):
-        emit_positive(spec.n_pos_videos + i, "test")
-    for i in range(test_neg):
-        emit_negative(spec.n_neg_videos + i, "test")
+    n_pos, n_neg = spec.n_pos_videos, spec.n_neg_videos
+    for prefix, label, split, indices in (("pos", 1, "train", range(n_pos)),
+                                          ("neg", 0, "train", range(n_neg)),
+                                          ("pos", 1, "test", range(n_pos, n_pos + test_pos)),
+                                          ("neg", 0, "test", range(n_neg, n_neg + test_neg))):
+        for index in indices:
+            video_id = f"{prefix}{index:03d}"
+            clips = rng.normal(0.0, spec.noise_sigma, size=(spec.clips_per_video, spec.dim))
+            intervals = []
+            if label:
+                start = int(rng.integers(0, spec.clips_per_video - run_len + 1))
+                clips[start:start + run_len] += spec.separation * direction
+                planted[video_id] = (start, start + run_len)
+                intervals = [(start * FRAMES_PER_CLIP, (start + run_len) * FRAMES_PER_CLIP)]
+            path = features_dir / f"{video_id}.feat"
+            write_features(FeatureMatrix(video_id, clips, n_frames), path, "binary")
+            feature_paths.append(path)
+            manifest_lines[split].append(f"features/{video_id}.feat {label} annotations.txt")
+            pairs = intervals + [(-1, -1)] * (ANNOTATION_SLOTS - len(intervals))
+            annotation_lines.append(" ".join([video_id, str(n_frames), *(f"{a} {b}" for a, b in pairs)]))
 
     manifest_path = out_dir / "manifest.txt"
+    test_manifest_path = out_dir / "manifest_test.txt" if test_pos else None
     annotations_path = out_dir / "annotations.txt"
     planted_csv_path = out_dir / "planted.csv"
-    manifest_path.write_text("\n".join(manifest_lines["train"]) + "\n", encoding="utf-8")
-    test_manifest_path = None
-    if test_pos:
-        test_manifest_path = out_dir / "manifest_test.txt"
-        test_manifest_path.write_text("\n".join(manifest_lines["test"]) + "\n", encoding="utf-8")
-    annotations_path.write_text("\n".join(annotation_lines) + "\n", encoding="utf-8")
-    planted_csv_path.write_text("\n".join(planted_lines) + "\n", encoding="utf-8")
-    return GeneratedDataset(
-        out_dir=out_dir,
-        manifest_path=manifest_path,
-        test_manifest_path=test_manifest_path,
-        annotations_path=annotations_path,
-        planted_csv_path=planted_csv_path,
-        feature_paths=tuple(feature_paths),
-        planted=planted,
-    )
+    write_lines(manifest_path, manifest_lines["train"])
+    if test_manifest_path is not None:
+        write_lines(test_manifest_path, manifest_lines["test"])
+    write_lines(annotations_path, annotation_lines)
+    write_lines(planted_csv_path, csv_lines("video_id,clip_start,clip_end",
+                                            ((video_id, *run) for video_id, run in planted.items())))
+    return GeneratedDataset(out_dir, manifest_path, test_manifest_path, annotations_path,
+                            planted_csv_path, tuple(feature_paths), planted)
 
 
 def load_planted(path) -> dict[str, tuple[int, int]]:

@@ -1,4 +1,6 @@
-"""Input validation helpers, and the text readers every file parser starts from."""
+"""Input validation helpers, and the one reader and writer of text files:
+every parser starts from ``read_text``/``read_json``, and every text output
+goes through ``write_lines``/``write_json``, its CSV rows through ``csv_lines``."""
 
 from __future__ import annotations
 
@@ -27,6 +29,24 @@ def read_json(path):
         return json.loads(text)
     except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
         raise FormatError(path, "document", f"invalid JSON: {e}") from None
+
+
+def write_lines(path, lines) -> None:
+    """Write ``lines`` to a UTF-8 text file, each followed by ``"\\n"``."""
+    Path(path).write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as one line of JSON, which ``read_json`` reads back."""
+    # not through write_lines, which would hold one more copy of the text:
+    # a paper-scale checkpoint is 47 MB of it
+    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
+
+
+def csv_lines(header: str, rows) -> list[str]:
+    """``header``, then one line per row with each field written by ``str``
+    (for a float or float64, its shortest repr, which parses back exactly)."""
+    return [header, *(",".join(map(str, row)) for row in rows)]
 
 
 def json_number(value, *, integer: bool = False):

@@ -20,7 +20,7 @@ from milrank.exceptions import (
 )
 from milrank.loss import LossParams
 from milrank.optim import TrainConfig
-from milrank.features import FeatureMatrix, load_features, write_features
+from milrank.features import load_features, write_features
 from milrank.network import init_model, load_checkpoint, save_checkpoint
 from milrank.metrics import evaluate_manifest, score_video
 
@@ -87,6 +87,15 @@ class TestSynth:
 
     def test_bad_flag_value_is_usage_error(self, tmp_path):
         assert main(synth_args(tmp_path / "d", extra=["--anomaly-fraction", "0"])) == 2
+
+    @pytest.mark.parametrize("flag, value", [("--separation", "1e39"), ("--noise-sigma", "1e200")])
+    def test_values_past_float32_are_usage_error(self, tmp_path, capsys, flag, value):
+        # feature files store float32; synth must not write files ingest-check refuses
+        assert main(synth_args(tmp_path / "d", extra=[flag, value])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "32-bit storage" in err
+        assert "Traceback" not in err
+        assert not list((tmp_path / "d" / "features").glob("*.feat"))
 
 
 class TestIngestCheck:

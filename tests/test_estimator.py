@@ -154,16 +154,27 @@ class TestLinearHingeBaseline:
 
 
 class TestOneTrainingCache:
-    def test_fit_matches_train_on_the_manifest(self, tmp_path):
-        # fit and optim.train build their bags through one helper, so the same
-        # videos give the same weights and log to the last bit
+    # fit and optim.train build their bags through one helper and train through
+    # one path, so the same videos give the same weights and log to the last bit
+
+    def fit_and_train(self, tmp_path, **overrides):
         ds = generate(SynthSpec(n_pos_videos=12, n_neg_videos=12, dim=16, clips_per_video=40,
                                 seed=2), tmp_path)
         manifest = load_manifest(ds.manifest_path, "train")
-        det = small_detector(iterations=20, batch_pos=4, batch_neg=4)
+        det = small_detector(iterations=20, batch_pos=4, batch_neg=4, **overrides)
         model, log = train(manifest, TrainConfig.from_values(**det.get_params()))
         det.fit([load_features(entry.feature_path) for entry in manifest.entries],
                 [entry.label for entry in manifest.entries])
         for name, arr in model.params().items():
             assert arr.tobytes() == getattr(det.model_, name).tobytes(), name
         assert det.training_log_.to_csv() == log.to_csv()
+        return det.training_log_, log
+
+    def test_fit_matches_train_on_the_manifest(self, tmp_path):
+        self.fit_and_train(tmp_path)
+
+    def test_fit_probe_rows_match_train(self, tmp_path):
+        # with snapshots on, both probe the first positive video
+        fitted, trained = self.fit_and_train(tmp_path, snapshot_every=5)
+        assert len(trained.probe_rows) == 4 * 6
+        assert fitted.probe_rows == trained.probe_rows

@@ -124,6 +124,24 @@ class TestCsvFormat:
             load_features(path, "csv")
 
 
+class TestWriteFeatures:
+    @pytest.mark.parametrize("format", ["binary", "csv"])
+    @pytest.mark.parametrize("row", [[1e39, 0.0], [0.0, np.nan], [-1e300, 0.0]])
+    def test_value_not_finite_in_float32_refused(self, tmp_path, format, row):
+        # storage is float32, so a value past its range would be written as inf,
+        # which load_features refuses; nothing is written instead
+        path = tmp_path / "v.feat"
+        with pytest.raises(ValueError, match="clip 1: value not finite in 32-bit storage"):
+            write_features(fm([[1.0, 2.0], row]), path, format)
+        assert not path.exists()
+
+    def test_float32_max_is_written(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        for format in ("binary", "csv"):
+            write_features(fm([[top, -top]]), tmp_path / format, format)
+            assert load_features(tmp_path / format, format).data.tolist() == [[top, -top]]
+
+
 class TestNormalize:
     def test_three_four_five(self):
         out = l2_normalize_rows(fm([[3.0, 4.0]]))

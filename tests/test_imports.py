@@ -1,0 +1,50 @@
+"""No module of the package or its tests imports a name it never uses.
+
+No linter runs with the tests, so this AST scan stands in for one check:
+an imported name must be referenced somewhere in its module (as a name or
+the root of an attribute chain) or be listed in ``__all__``.  Imports from
+``__future__`` are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCANNED = sorted((ROOT / "src" / "milrank").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def used_names(tree):
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
+    return used
+
+
+def unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = used_names(tree)
+    return [f"{path.relative_to(ROOT)}:{lineno}: {name}"
+            for lineno, name in imported_names(tree) if name not in used]
+
+
+def test_no_unused_imports():
+    assert [line for path in SCANNED for line in unused_imports(path)] == []
+
+
+def test_scan_sees_an_unused_import():
+    source = ("from __future__ import annotations\nimport json, os.path\n"
+              "from x import y, z as w\n__all__ = ['y']\nos.sep\n")
+    tree = ast.parse(source)
+    assert [name for _, name in imported_names(tree) if name not in used_names(tree)] == ["json", "w"]

@@ -17,7 +17,6 @@ from milrank.network import (
     init_model,
     load_checkpoint,
     save_checkpoint,
-    sigmoid,
 )
 
 

@@ -11,6 +11,8 @@ from milrank.features import Bag
 from milrank.loss import LossParams, weight_decay_grads, weight_decay_term
 from milrank.network import backward, dropout_masks, forward_with_masks, init_model
 from milrank.optim import (
+    LOG_HEADER,
+    PROBE_HEADER,
     AdagradState,
     TrainConfig,
     adagrad_step,
@@ -18,6 +20,7 @@ from milrank.optim import (
     sample_pair_indices,
     train_on_bags,
 )
+from milrank.validation import csv_lines, write_lines
 
 
 def toy_bag(video_id, label, rng, m=4, dim=6):
@@ -373,7 +376,7 @@ class TestTrainingLogCsv:
         pos, neg = toy_bags(4, 4)
         _, log = train_on_bags(pos, neg, toy_config(iterations=3))
         path = tmp_path / "log.csv"
-        log.write_csv(path)
+        write_lines(path, csv_lines(LOG_HEADER, log.rows))
         lines = path.read_text().splitlines()
         assert lines[0] == "iteration,loss,hinge_mean,smooth_mean,sparse_mean,reg"
         assert len(lines) == 4
@@ -386,7 +389,7 @@ class TestTrainingLogCsv:
         pos, neg = toy_bags(4, 4)
         _, log = train_on_bags(pos, neg, toy_config(iterations=4, snapshot_every=2), probe_bag=pos[0])
         path = tmp_path / "probe.csv"
-        log.write_probe_csv(path)
+        write_lines(path, csv_lines(PROBE_HEADER, log.probe_rows))
         lines = path.read_text().splitlines()
         assert lines[0] == "iteration,segment_index,score"
         assert len(lines) == 1 + 2 * 4

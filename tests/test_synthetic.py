@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from milrank.features import load_features, load_manifest, make_bag, segment_bounds
+from milrank.features import load_features, load_manifest, segment_bounds
 from milrank.metrics import load_annotations
 from milrank.network import MlpModel
 from milrank.rng import STREAM_SYNTH, derive_rng
