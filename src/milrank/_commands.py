@@ -96,13 +96,15 @@ BASELINE_FLAGS = (
 )
 
 
-def _parse_config_file(path: Path) -> dict[str, str]:
+def _parse_config_file(path: Path, keys) -> dict[str, str]:
     values = {}
     for lineno, text in content_lines(path):
         if "=" not in text:
             raise ValueError(f"{path}: line {lineno}: expected key=value")
-        key, value = text.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in text.split("=", 1))
+        if key not in keys:
+            raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
+        values[key] = value
     return values
 
 
@@ -123,7 +125,7 @@ def _settings(args, flags, defaults: dict) -> dict:
 
     Settings given neither way are left out, so the callee's defaults apply.
     """
-    config = _parse_config_file(args.config) if args.config else {}
+    config = _parse_config_file(args.config, [flag for flag, _, _ in flags]) if args.config else {}
     values = {}
     for flag, names, _ in flags:
         value = getattr(args, flag.replace("-", "_"))

@@ -41,7 +41,7 @@ class LinearModel:
 
 def video_feature(f: FeatureMatrix) -> np.ndarray:
     """Mean of all L2-normalized clip rows."""
-    return l2_normalize_rows(f).data.mean(axis=0)
+    return l2_normalize_rows(f.data).mean(axis=0)
 
 
 def hinge_objective(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, c_reg: float) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .baseline import FIT_DEFAULTS, fit_linear, sigmoid, video_feature
 from .exceptions import NotFittedError
-from .features import DEFAULT_SEGMENTS, FeatureMatrix, l2_normalize_rows, training_bag
+from .features import FeatureMatrix, l2_normalize_rows, training_bag
 from .metrics import ScoreTimeline, score_video
 from .network import forward
 from .optim import TrainConfig, train_bags
@@ -37,8 +37,7 @@ def _as_feature_matrices(X) -> list[FeatureMatrix]:
 
 
 def _normalized_rows(X, dim: int) -> np.ndarray:
-    rows = check_feature_array(X, dim=dim, name="X")
-    return l2_normalize_rows(FeatureMatrix(video_id="X", data=rows, n_frames=1)).data
+    return l2_normalize_rows(check_feature_array(X, dim=dim, name="X"))
 
 
 class _Estimator:
@@ -93,9 +92,7 @@ class MilRankingDetector(_Estimator):
     def score_samples(self, X) -> np.ndarray:
         """Anomaly score per feature row (rows are L2-normalized first)."""
         self._check_fitted()
-        rows = _normalized_rows(X, self.model_.dim)
-        scores, _ = forward(self.model_, rows)
-        return scores
+        return forward(self.model_, _normalized_rows(X, self.model_.dim))
 
     def predict(self, X) -> np.ndarray:
         """1 where the anomaly score reaches 0.5, else 0."""
@@ -110,7 +107,7 @@ class MilRankingDetector(_Estimator):
 class LinearHingeBaseline(_Estimator):
     """Video-level linear hinge classifier used as an AUC reference point."""
 
-    _defaults = {**FIT_DEFAULTS, "segments_per_bag": DEFAULT_SEGMENTS}
+    _defaults = FIT_DEFAULTS
 
     def fit(self, X, y):
         videos = _as_feature_matrices(X)
@@ -121,8 +118,7 @@ class LinearHingeBaseline(_Estimator):
 
     def decision_function(self, X) -> np.ndarray:
         self._check_fitted()
-        rows = _normalized_rows(X, self.model_.w.shape[0])
-        return rows @ self.model_.w - self.model_.b
+        return _normalized_rows(X, self.model_.w.shape[0]) @ self.model_.w - self.model_.b
 
     def score_samples(self, X) -> np.ndarray:
         return sigmoid(self.decision_function(X))

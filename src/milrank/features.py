@@ -9,10 +9,10 @@ supported:
 * csv: header line ``n_clips,dim,n_frames``, then one clip per line with
   ``dim`` comma-separated decimal floats.
 
-Featurization (normalization and segment means) is done in float64.
-``make_bag`` keeps its float64 result, which scoring and evaluation use;
-``training_bag`` rounds it once to float32, the dtype the trainer's layer-1
-GEMMs run in.
+Featurization (row normalization and segment means) maps float64 arrays
+to arrays.  ``make_bag`` keeps its float64 result, which scoring and
+evaluation use; ``training_bag`` rounds it once to float32, the dtype the
+trainer's layer-1 GEMMs run in.  Frame counts stay on the FeatureMatrix.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ class Bag:
     video_id: str
     label: int
     segments: np.ndarray  # (m, dim), float32 in training bags
-    n_frames: int
 
     def __post_init__(self):
         if self.label not in (0, 1):
@@ -196,11 +195,10 @@ def write_features(f: FeatureMatrix, path, format: str = "binary") -> None:
                              for row in values)])
 
 
-def l2_normalize_rows(f: FeatureMatrix) -> FeatureMatrix:
-    """Scale each clip row to unit Euclidean norm.  All-zero rows are kept."""
-    norms = np.linalg.norm(f.data, axis=1, keepdims=True)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    return FeatureMatrix(video_id=f.video_id, data=f.data / safe, n_frames=f.n_frames)
+def l2_normalize_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D matrix scaled to unit Euclidean norm.  All-zero rows are kept."""
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    return rows / np.where(norms == 0.0, 1.0, norms)
 
 
 def segment_bounds(count: int, m: int) -> np.ndarray:
@@ -216,7 +214,7 @@ def spread_over_frames(segment_values: np.ndarray, n_frames: int) -> np.ndarray:
     return np.repeat(segment_values, np.diff(segment_bounds(n_frames, len(segment_values))))
 
 
-def partition_segments(f: FeatureMatrix, m: int) -> np.ndarray:
+def partition_segments(rows: np.ndarray, m: int) -> np.ndarray:
     """Average clip rows into ``m`` contiguous temporal segments, an (m, dim) matrix.
 
     Segment g averages the clips of group g of ``segment_bounds(n_clips, m)``.
@@ -227,18 +225,18 @@ def partition_segments(f: FeatureMatrix, m: int) -> np.ndarray:
     """
     if m < 2:
         raise ValueError(f"segment count must be at least 2, got {m}")
-    bounds = segment_bounds(f.n_clips, m)
+    bounds = segment_bounds(rows.shape[0], m)
     starts = np.minimum(bounds[:-1], np.maximum(bounds[1:] - 1, 0)).tolist()
     ends = np.maximum(bounds[1:], 1).tolist()
-    segments = np.empty((m, f.dim), dtype=np.float64)
+    segments = np.empty((m, rows.shape[1]), dtype=np.float64)
     for g, (lo, hi) in enumerate(zip(starts, ends)):
-        segments[g] = f.data[lo:hi].mean(axis=0)
+        segments[g] = rows[lo:hi].mean(axis=0)
     return segments
 
 
 def make_bag(f: FeatureMatrix, label: int, m: int = DEFAULT_SEGMENTS) -> Bag:
     """Normalize, segment, and label a video's features."""
-    return Bag(f.video_id, label, partition_segments(l2_normalize_rows(f), m), f.n_frames)
+    return Bag(f.video_id, label, partition_segments(l2_normalize_rows(f.data), m))
 
 
 def training_bag(f: FeatureMatrix, label: int, m: int = DEFAULT_SEGMENTS) -> Bag:
@@ -248,7 +246,7 @@ def training_bag(f: FeatureMatrix, label: int, m: int = DEFAULT_SEGMENTS) -> Bag
     an estimator fit on the same feature matrices see the same bytes.
     """
     bag = make_bag(f, label, m)
-    return Bag(bag.video_id, bag.label, bag.segments.astype(np.float32), bag.n_frames)
+    return Bag(bag.video_id, bag.label, bag.segments.astype(np.float32))
 
 
 def load_manifest(path, split: str) -> DatasetManifest:
@@ -256,10 +254,12 @@ def load_manifest(path, split: str) -> DatasetManifest:
 
     One entry per line: ``<feature_path> <label:0|1> [<annotation_path>]``.
     Paths are resolved relative to the manifest's directory and every
-    referenced file must exist.  ``#`` starts a comment.
+    referenced file must exist.  ``#`` starts a comment.  A test manifest
+    lists each video id (feature file stem) at most once.
     """
     path = Path(path)
     entries = []
+    first_line: dict[str, int] = {}
     for lineno, text in content_lines(path):
         tokens = text.split()
         if len(tokens) not in (2, 3):
@@ -268,6 +268,11 @@ def load_manifest(path, split: str) -> DatasetManifest:
             raise FormatError(path, f"line {lineno}", f"label must be 0 or 1, got {tokens[1]!r}")
         feature_path = _listed_file(path, lineno, "feature", tokens[0])
         annotation_path = _listed_file(path, lineno, "annotation", tokens[2]) if len(tokens) == 3 else None
+        if split == "test":
+            first = first_line.setdefault(feature_path.stem, lineno)
+            if first != lineno:
+                raise DataError(f"{path}: line {lineno}: video {feature_path.stem!r} "
+                                f"already listed on line {first}")
         entries.append(ManifestEntry(feature_path, int(tokens[1]), annotation_path))
     if not entries:
         raise DataError(f"{path}: manifest contains no entries")

@@ -1,5 +1,6 @@
 """Frame-level evaluation: score expansion, ROC/AUC, false-alarm rate.
 
+``expand_scores`` is the one rule from segment scores to a frame timeline.
 Frames from all videos are pooled into one global ROC; a frame is positive
 iff it lies inside an annotated anomalous interval.  Tied scores
 contribute diagonal curve segments, which makes the trapezoidal AUC equal
@@ -16,7 +17,6 @@ import numpy as np
 from .exceptions import DataError, DimensionMismatchError, FormatError, MetricError
 from .features import (
     DEFAULT_SEGMENTS,
-    Bag,
     DatasetManifest,
     FeatureMatrix,
     ManifestEntry,
@@ -73,10 +73,10 @@ class RocCurve:
     auc: float
 
 
-def expand_scores(bag: Bag, segment_scores) -> ScoreTimeline:
-    """Spread segment scores piecewise-constant over the bag's frames."""
-    scores = check_score_vector(segment_scores, length=bag.n_segments, name="segment_scores")
-    return ScoreTimeline(video_id=bag.video_id, frame_scores=spread_over_frames(scores, bag.n_frames))
+def expand_scores(f: FeatureMatrix, segment_scores, m: int) -> ScoreTimeline:
+    """Check ``m`` segment scores of ``f`` and spread them piecewise-constant over its frames."""
+    scores = check_score_vector(segment_scores, length=m, name="segment_scores")
+    return ScoreTimeline(video_id=f.video_id, frame_scores=spread_over_frames(scores, f.n_frames))
 
 
 def _pool_frames(timelines, annotations) -> tuple[np.ndarray, np.ndarray]:
@@ -136,6 +136,8 @@ def false_alarm_rate(timelines, threshold: float = 0.5) -> float:
     Callers must pass timelines of normal videos only; the result is a
     plain ratio (multiply by 100 when reporting a percentage).
     """
+    if not np.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     frames = [tl.frame_scores for tl in timelines]
     if not frames:
         raise MetricError("empty frame pool")
@@ -150,9 +152,8 @@ def score_video(model: MlpModel, f: FeatureMatrix,
     """Normalize, segment, score in eval mode, and expand to frames."""
     if f.dim != model.dim:
         raise DimensionMismatchError(f"features have dim {f.dim}, model expects {model.dim}")
-    bag = make_bag(f, 0, m)
-    scores, _ = forward(model, bag.segments)
-    return scores, expand_scores(bag, scores)
+    scores = forward(model, make_bag(f, 0, m).segments)
+    return scores, expand_scores(f, scores, m)
 
 
 def load_annotations(path) -> dict[str, TemporalAnnotation]:
@@ -230,8 +231,8 @@ def evaluate_manifest(manifest: DatasetManifest, segment_scorer, m: int = DEFAUL
     """Score every manifest video and compute the pooled frame metrics.
 
     ``segment_scorer(features)`` must return the per-segment score vector of
-    ``make_bag(features, label, m)``; each score is spread over its segment's
-    share of the frame axis.  Annotations follow ``entry_annotation``.
+    ``make_bag(features, label, m)``; ``expand_scores`` spreads the scores
+    over the frames.  Annotations follow ``entry_annotation``.
     """
     annotation_cache: dict = {}
     timelines = []
@@ -239,8 +240,7 @@ def evaluate_manifest(manifest: DatasetManifest, segment_scorer, m: int = DEFAUL
     normal_timelines = []
     for entry in manifest.entries:
         f = load_features(entry.feature_path)
-        scores = check_score_vector(segment_scorer(f), length=m, name="segment_scores")
-        timeline = ScoreTimeline(video_id=f.video_id, frame_scores=spread_over_frames(scores, f.n_frames))
+        timeline = expand_scores(f, segment_scorer(f), m)
         annotations.append(entry_annotation(entry, f.video_id, f.n_frames, annotation_cache))
         if entry.label == 0:
             normal_timelines.append(timeline)

@@ -8,9 +8,10 @@ Maps a segment feature vector to an anomaly score in (0, 1):
 
 Dropout uses the inverted convention (kept units scaled by 1/keep_prob)
 and acts only where masks from ``dropout_masks`` are passed to
-``forward_with_masks``, the trainer's pass; ``forward``, the eval pass,
-applies no masks and so needs no rescaling.  Gradients are computed by
-hand-written reverse mode over the cached forward trace.
+``forward_with_masks``, the one pass and the only one that returns a
+``ForwardTrace``; ``forward`` is its checked, scores-only eval entry,
+which passes no masks and so needs no rescaling.  Gradients are computed
+by hand-written reverse mode over the cached forward trace.
 The two layer-1 GEMMs, ``X @ W1.T`` in ``forward_with_masks`` and
 ``dZ1.T @ X`` in ``backward``, run in the dtype of the inputs X: float32
 for the trainer's cached bags, float64 for ``forward`` (and so for
@@ -158,16 +159,16 @@ def dropout_masks(model: MlpModel, n_rows: int, rng_seed: int) -> tuple[np.ndarr
     return kept[:n1].reshape(n_rows, model.hidden1), kept[n1:].reshape(n_rows, model.hidden2)
 
 
-def forward(model: MlpModel, segments) -> tuple[np.ndarray, ForwardTrace]:
+def forward(model: MlpModel, segments) -> np.ndarray:
     """Score a batch of segment features in eval mode: no dropout, so the
-    scores are deterministic.
+    scores are deterministic.  Returns the (n,) float64 score vector.
 
     ``segments`` is checked and converted to float64 by
     ``check_feature_array``; training runs ``forward_with_masks`` instead,
     with masks from ``dropout_masks``.
     """
     return forward_with_masks(model, check_feature_array(segments, dim=model.dim, name="segments"),
-                              None, None)
+                              None, None)[0]
 
 
 def forward_with_masks(model: MlpModel, X: np.ndarray,

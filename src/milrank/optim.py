@@ -244,7 +244,7 @@ def train_on_bags(pos_bags: list[Bag], neg_bags: list[Bag], cfg: TrainConfig,
         ))
         if cfg.snapshot_every and it % cfg.snapshot_every == 0:
             if probe_bag is not None:
-                probe_scores, _ = forward(model, probe_bag.segments)
+                probe_scores = forward(model, probe_bag.segments)
                 log.probe_rows.extend((it, seg, float(s)) for seg, s in enumerate(probe_scores))
             if snapshot_hook is not None:
                 snapshot_hook(it, model)

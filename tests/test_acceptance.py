@@ -245,7 +245,7 @@ def test_c07_constraint_effect(trained):
     pos_bags = [b for b in milrank.load_bags(manifest, 32) if b.label == 1]
 
     def stats(model):
-        scores = [forward(model, b.segments)[0] for b in pos_bags]
+        scores = [forward(model, b.segments) for b in pos_bags]
         mean_score = float(np.mean([s.mean() for s in scores]))
         mean_sq_adjacent = float(np.mean([np.mean(np.diff(s) ** 2) for s in scores]))
         return mean_score, mean_sq_adjacent

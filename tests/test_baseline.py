@@ -103,7 +103,7 @@ class TestScoreLinear:
         model = LinearModel(w=np.array([0.5, -0.25, 1.0]), b=0.1, c_reg=1.0)
         f = FeatureMatrix("v", np.random.default_rng(5).standard_normal((6, 3)), 96)
         scores = score_linear(model, f, 4)
-        segments = partition_segments(l2_normalize_rows(f), 4)
+        segments = partition_segments(l2_normalize_rows(f.data), 4)
         for g in range(4):
             margin = sum(model.w[j] * segments[g, j] for j in range(3)) - model.b
             assert abs(scores[g] - 1.0 / (1.0 + np.exp(-margin))) < 1e-12

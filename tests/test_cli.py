@@ -166,6 +166,26 @@ class TestIngestCheckTestSplit:
         expected = f"error: video {video!r}: annotation covers {frames} frames, feature file has 256"
         assert errors == [expected, expected]
 
+    @pytest.mark.parametrize("command", ["ingest-check", "eval", "baseline-eval"])
+    def test_repeated_video_is_usage_error(self, dataset, tmp_path, capsys, command):
+        manifest = dataset / "case.txt"
+        manifest.write_text("features/pos003.feat 1 annotations.txt\n"
+                            "features/neg003.feat 0 annotations.txt\n"
+                            "features/pos003.feat 1 annotations.txt\n")
+        # dim-5 models: scoring any dim-8 video would exit 5, so exit 2 means none was scored
+        ckpt = tmp_path / "dim5.json"
+        zero_checkpoint(ckpt, dim=5)
+        linear = tmp_path / "dim5_linear.json"
+        linear.write_text(json.dumps({"w": [0.0] * 5, "b": 0.0, "c_reg": 1.0}))
+        argv = {
+            "ingest-check": ["ingest-check", "--split", "test"],
+            "eval": ["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "e")],
+            "baseline-eval": ["baseline-eval", "--model", str(linear), "--out", str(tmp_path / "e")],
+        }[command]
+        assert main([*argv, "--manifest", str(manifest)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {manifest}: line 3: video 'pos003' already listed on line 1\n"
+
     def test_train_split_ignores_annotations(self, dataset, tmp_path):
         (dataset / "ann_case.txt").write_text("garbage\n")
         (dataset / "case.txt").write_text("features/pos003.feat 1 ann_case.txt\n")
@@ -259,6 +279,21 @@ class TestDefaultsFromConfig:
         assert tree_digest(tmp_path / "by_config") == tree_digest(tmp_path / "by_flags")
         model = load_checkpoint(tmp_path / "by_config" / "ckpt_3.json")
         assert model.w1.shape == (4, 8) and model.w2.shape == (2, 4)
+
+    @pytest.mark.parametrize("argv, key", [
+        (["train", "--iters", "2", "--batch", "3", "--segments", "8", "--hidden1", "4",
+          "--hidden2", "2"], "iter"),
+        (["synth", "--pos", "2", "--neg", "2", "--dim", "4", "--clips", "8"], "n_pos"),
+        (["baseline-train", "--epochs", "5"], "epoch"),
+    ])
+    def test_unknown_config_key_is_usage_error(self, dataset, tmp_path, capsys, argv, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# a misspelt setting\n{key}=3\n")
+        manifest = [] if argv[0] == "synth" else ["--manifest", str(dataset / "manifest.txt")]
+        out = tmp_path / "out"
+        assert main([*argv, *manifest, "--out", str(out), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: line 2: unknown key {key!r}\n"
+        assert not out.exists()
 
 
 class TestTrain:
@@ -451,6 +486,17 @@ class TestEval:
         zero_checkpoint(ckpt)
         assert main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest),
                      "--segments", "8", "--out", str(tmp_path / "e")]) == 6
+
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_is_usage_error(self, dataset, tmp_path, capsys, threshold):
+        ckpt = tmp_path / "zero.json"
+        zero_checkpoint(ckpt)
+        assert main(["eval", "--checkpoint", str(ckpt), "--manifest", str(dataset / "manifest_test.txt"),
+                     "--segments", "8", "--threshold", threshold, "--out", str(tmp_path / "e")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: threshold must be finite, got {float(threshold)}\n"
+        assert captured.out == ""
 
 
 class TestBaselineCommands:

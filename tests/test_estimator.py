@@ -60,7 +60,7 @@ class TestParamsProtocol:
         signature = inspect.signature(fit_linear).parameters
         assert LinearHingeBaseline().get_params() == {
             "c_reg": signature["c_reg"].default, "epochs": signature["epochs"].default,
-            "learning_rate": signature["learning_rate"].default, "segments_per_bag": 32}
+            "learning_rate": signature["learning_rate"].default}
 
     @pytest.mark.parametrize("cls, bogus", [(MilRankingDetector, "probe_video_id"),
                                             (LinearHingeBaseline, "seed")])
@@ -106,7 +106,7 @@ class TestMilRankingDetector:
         scaled = 100.0 * rows
         assert np.allclose(det.score_samples(rows), det.score_samples(scaled))
         normalized = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-        direct, _ = forward(det.model_, normalized)
+        direct = forward(det.model_, normalized)
         assert np.array_equal(det.score_samples(rows), direct)
 
     def test_fit_accepts_feature_matrices(self):

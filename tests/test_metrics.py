@@ -4,12 +4,10 @@ import pytest
 import milrank.metrics
 from milrank.exceptions import DataError, DimensionMismatchError, FormatError, MetricError
 from milrank.features import (
-    Bag,
     FeatureMatrix,
     l2_normalize_rows,
     load_features,
     load_manifest,
-    make_bag,
     partition_segments,
     segment_bounds,
     write_features,
@@ -30,8 +28,8 @@ from milrank.metrics import (
 from milrank.network import MlpModel, forward, init_model
 
 
-def two_segment_bag():
-    return Bag("v", 0, np.zeros((2, 3)), 10)
+def two_segment_video():
+    return FeatureMatrix("v", np.zeros((2, 3)), 10)
 
 
 def timeline(video_id, scores):
@@ -67,20 +65,19 @@ def pooled_auc_oracle(timelines, annotations):
 
 class TestExpandScores:
     def test_two_segment_example(self):
-        tl = expand_scores(two_segment_bag(), [0.1, 0.9])
+        tl = expand_scores(two_segment_video(), [0.1, 0.9], 2)
         assert np.array_equal(tl.frame_scores[:5], np.full(5, 0.1))
         assert np.array_equal(tl.frame_scores[5:], np.full(5, 0.9))
 
     def test_constant_scores(self):
-        tl = expand_scores(two_segment_bag(), [0.4, 0.4])
+        tl = expand_scores(two_segment_video(), [0.4, 0.4], 2)
         assert np.array_equal(tl.frame_scores, np.full(10, 0.4))
 
     def test_random_bag_linear_scan_oracle(self):
         rng = np.random.default_rng(0)
         f = FeatureMatrix("v", rng.standard_normal((13, 3)), 77)
-        bag = make_bag(f, 1, 8)
         scores = rng.uniform(0, 1, 8)
-        tl = expand_scores(bag, scores)
+        tl = expand_scores(f, scores, 8)
         bounds = segment_bounds(77, 8)
         for frame in range(77):
             for start, end, s in zip(bounds[:-1], bounds[1:], scores):
@@ -92,7 +89,7 @@ class TestExpandScores:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            expand_scores(two_segment_bag(), [0.1, 0.2, 0.3])
+            expand_scores(two_segment_video(), [0.1, 0.2, 0.3], 2)
 
 
 class TestRocAuc:
@@ -194,6 +191,11 @@ class TestFalseAlarmRate:
         with pytest.raises(MetricError):
             false_alarm_rate([])
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            false_alarm_rate([timeline("a", np.zeros(10))], threshold)
+
 
 class TestScoreVideo:
     def test_zero_model_scores_half(self):
@@ -215,11 +217,10 @@ class TestScoreVideo:
         model = init_model(3, seed=9, hidden1=4, hidden2=2)
         f = FeatureMatrix("v", np.random.default_rng(9).standard_normal((6, 3)), 96)
         scores, tl = score_video(model, f, 4)
-        segments = partition_segments(l2_normalize_rows(f), 4)
-        manual, _ = forward(model, segments)
-        bag = make_bag(f, 0, 4)
+        segments = partition_segments(l2_normalize_rows(f.data), 4)
+        manual = forward(model, segments)
         assert np.array_equal(scores, manual)
-        assert np.array_equal(tl.frame_scores, expand_scores(bag, manual).frame_scores)
+        assert np.array_equal(tl.frame_scores, expand_scores(f, manual, 4).frame_scores)
 
     def test_dim_mismatch(self):
         model = init_model(5, seed=10, hidden1=4, hidden2=2)

@@ -29,6 +29,11 @@ def train_forward(model, X, seed):
     return forward_with_masks(model, X, *dropout_masks(model, X.shape[0], seed))
 
 
+def unmasked_forward(model, X):
+    """The eval pass with its trace: ``forward_with_masks`` with no masks."""
+    return forward_with_masks(model, X, None, None)
+
+
 def zero_model(dim=8, h1=8, h2=4, dropout=0.0):
     return MlpModel(
         w1=np.zeros((h1, dim)), b1=np.zeros(h1),
@@ -62,14 +67,14 @@ class TestInit:
 
 class TestForward:
     def test_zero_model_scores_half(self):
-        scores, _ = forward(zero_model(), np.random.default_rng(0).standard_normal((5, 8)))
+        scores = forward(zero_model(), np.random.default_rng(0).standard_normal((5, 8)))
         assert np.array_equal(scores, np.full(5, 0.5))
 
     def test_zero_dropout_train_equals_eval(self):
         model = tiny_model(dropout=0.0)
         X = np.random.default_rng(1).standard_normal((4, 8))
         train_scores, _ = train_forward(model, X, 5)
-        eval_scores, _ = forward(model, X)
+        eval_scores = forward(model, X)
         assert np.array_equal(train_scores, eval_scores)
 
     def test_straight_line_oracle(self):
@@ -77,7 +82,7 @@ class TestForward:
         model = tiny_model(seed=11)
         rng = np.random.default_rng(2)
         X = rng.standard_normal((3, 8))
-        scores, _ = forward(model, X)
+        scores = forward(model, X)
         for r in range(3):
             h1 = [max(0.0, sum(model.w1[i, j] * X[r, j] for j in range(8)) + model.b1[i])
                   for i in range(8)]
@@ -90,7 +95,7 @@ class TestForward:
     def test_scores_strictly_inside_unit_interval(self):
         model = tiny_model(seed=4)
         X = np.random.default_rng(3).uniform(-5, 5, size=(200, 8))
-        scores, _ = forward(model, X)
+        scores = forward(model, X)
         assert np.all(scores > 0.0) and np.all(scores < 1.0)
 
     def test_dim_mismatch(self):
@@ -127,14 +132,14 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         model = tiny_model(seed=5)
         X = np.random.default_rng(7).standard_normal((3, 8))
-        _, trace = forward(model, X)
+        _, trace = unmasked_forward(model, X)
         grads = backward(model, trace, np.zeros(3))
         assert all(not g.any() for g in grads.values())
 
     def test_finite_difference_on_single_score(self):
         model = tiny_model(seed=8)
         x = np.random.default_rng(8).standard_normal((1, 8))
-        _, trace = forward(model, x)
+        _, trace = unmasked_forward(model, x)
         grads = backward(model, trace, np.ones(1))
         h = 1e-5
         for name, arr in model.params().items():
@@ -142,9 +147,9 @@ class TestBackward:
             for i in range(flat.size):
                 pert = {k: v.copy() for k, v in model.params().items()}
                 pert[name].ravel()[i] = flat[i] + h
-                up, _ = forward(clone_with_params(model, pert), x)
+                up = forward(clone_with_params(model, pert), x)
                 pert[name].ravel()[i] = flat[i] - h
-                down, _ = forward(clone_with_params(model, pert), x)
+                down = forward(clone_with_params(model, pert), x)
                 fd = (up[0] - down[0]) / (2 * h)
                 analytic = grads[name].ravel()[i]
                 assert abs(analytic - fd) <= 1e-4 * max(abs(fd), 1e-2)
@@ -162,7 +167,7 @@ class TestBackward:
 
     def test_trace_shape_mismatch_rejected(self):
         model = tiny_model()
-        _, trace = forward(model, np.ones((3, 8)))
+        _, trace = unmasked_forward(model, np.ones((3, 8)))
         with pytest.raises(ValueError):
             backward(model, trace, np.zeros(4))
 
@@ -195,7 +200,7 @@ class TestLiveRowBackward:
     def batch(self, mode):
         model = init_model(16, seed=12, hidden1=32, hidden2=8, dropout_rate=0.6)
         X = np.random.default_rng(12).standard_normal((2 * self.P * self.M, 16))
-        _, trace = train_forward(model, X, 5) if mode == "train" else forward(model, X)
+        _, trace = train_forward(model, X, 5) if mode == "train" else unmasked_forward(model, X)
         return model, trace
 
     def ranking_gradient(self, trace):
@@ -253,7 +258,7 @@ class TestDropoutExpectation:
         # to the eval-mode value; checked loosely over 10,000 mask draws
         model = init_model(8, seed=21, hidden1=16, hidden2=8, dropout_rate=0.6)
         x = np.random.default_rng(10).standard_normal(8)
-        _, eval_trace = forward(model, x[None, :])
+        _, eval_trace = unmasked_forward(model, x[None, :])
         eval_logit = (eval_trace.h2 @ model.w3.T + model.b3)[0, 0]
         assert abs(eval_logit) > 0.01  # keep the relative comparison meaningful
         stacked = np.tile(x, (10_000, 1))

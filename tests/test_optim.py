@@ -24,7 +24,7 @@ from milrank.validation import csv_lines, write_lines
 
 
 def toy_bag(video_id, label, rng, m=4, dim=6):
-    return Bag(video_id, label, rng.standard_normal((m, dim)), 8 * m)
+    return Bag(video_id, label, rng.standard_normal((m, dim)))
 
 
 def toy_bags(n_pos, n_neg, seed=0, m=4, dim=6):

@@ -11,7 +11,6 @@ import segment_oracle
 from milrank.features import (
     FRAMES_PER_CLIP,
     FeatureMatrix,
-    make_bag,
     partition_segments,
     segment_bounds,
     spread_over_frames,
@@ -32,7 +31,7 @@ SHAPES = dict(n_clips=st.integers(1, 90), n_frames=st.integers(1, 48) | st.integ
 def test_partition_matches_fill_forward_oracle(n_clips, n_frames, m, seed):
     data = np.random.default_rng(seed).standard_normal((n_clips, 3))
     want, _ = segment_oracle.partition_segments(data, n_frames, m)
-    got = partition_segments(FeatureMatrix("v", data, n_frames), m)
+    got = partition_segments(data, m)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
 
@@ -48,7 +47,7 @@ def test_frame_spread_matches_range_loop_oracle(n_clips, n_frames, m, seed):
     _, ranges = segment_oracle.partition_segments(f.data, n_frames, m)
     want = segment_oracle.expand_scores(ranges, scores)
     assert spread_over_frames(scores, n_frames).tobytes() == want.tobytes()
-    assert expand_scores(make_bag(f, 0, m), scores).frame_scores.tobytes() == want.tobytes()
+    assert expand_scores(f, scores, m).frame_scores.tobytes() == want.tobytes()
 
 
 @settings(max_examples=500, deadline=None)
