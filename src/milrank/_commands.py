@@ -25,7 +25,14 @@ from .exceptions import (
     NonFiniteLossError,
 )
 from .features import DEFAULT_SEGMENTS, load_features, load_manifest
-from .metrics import entry_annotation, evaluate_manifest, score_video, write_roc_csv, write_timeline_csv
+from .metrics import (
+    check_threshold,
+    entry_annotation,
+    evaluate_manifest,
+    score_video,
+    write_roc_csv,
+    write_timeline_csv,
+)
 from .network import load_checkpoint, save_checkpoint
 from .optim import LOG_HEADER, PROBE_HEADER, TrainConfig, train
 from .synthetic import SynthSpec, generate
@@ -199,6 +206,7 @@ def cmd_score(args) -> int:
 
 def cmd_eval(args) -> int:
     """``eval`` scores with an MLP checkpoint, ``baseline-eval`` with a linear model."""
+    check_threshold(args.threshold)  # before any file is read
     if args.command == "eval":
         model = load_checkpoint(args.checkpoint)
         scorer = lambda f: score_video(model, f, args.segments)[0]

@@ -130,14 +130,19 @@ def roc_auc(timelines, annotations) -> RocCurve:
     return RocCurve(thresholds=tuple(thresholds), points=points, auc=auc)
 
 
+def check_threshold(threshold: float) -> None:
+    """Raise ValueError unless ``threshold`` is finite."""
+    if not np.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
+
+
 def false_alarm_rate(timelines, threshold: float = 0.5) -> float:
     """Fraction of pooled frames scoring at or above ``threshold``.
 
     Callers must pass timelines of normal videos only; the result is a
     plain ratio (multiply by 100 when reporting a percentage).
     """
-    if not np.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold}")
+    check_threshold(threshold)
     frames = [tl.frame_scores for tl in timelines]
     if not frames:
         raise MetricError("empty frame pool")

@@ -24,6 +24,8 @@ every platform.
 
 from __future__ import annotations
 
+import base64
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -31,10 +33,10 @@ import numpy as np
 
 from .exceptions import FormatError
 from .rng import STREAM_DROPOUT, STREAM_INIT, derive_rng
-from .validation import check_feature_array, json_number, json_numbers, read_json, write_json
+from .validation import check_feature_array, json_number, read_json, write_json
 
 PARAM_FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 # the paper's network: 512-32-1 with 60% dropout
 DEFAULT_HIDDEN1 = 512
 DEFAULT_HIDDEN2 = 32
@@ -245,18 +247,35 @@ def backward(model: MlpModel, trace: ForwardTrace, dloss_dscores) -> dict[str, n
 
 
 def save_checkpoint(model: MlpModel, path) -> None:
-    """Write the model as JSON with exact float64 round-tripping."""
+    """Write the model as one line of JSON, checkpoint version 2.
+
+    The header holds ``version`` (2), ``dim``, ``widths`` ([hidden1,
+    hidden2]) and ``dropout_rate``.  ``params`` maps each of w1, b1, w2, b2,
+    w3 and b3 to one base64 string of that parameter's little-endian
+    float64 bytes in row-major order, so every weight round-trips bit for
+    bit.  The shapes follow from the header and are not stored.
+    """
     doc = {
         "version": CHECKPOINT_VERSION,
         "dim": model.dim,
         "widths": [model.hidden1, model.hidden2],
         "dropout_rate": model.dropout_rate,
-        "params": {name: arr.ravel().tolist() for name, arr in model.params().items()},
+        "params": {name: base64.b64encode(arr.astype("<f8", copy=False).tobytes()).decode("ascii")
+                   for name, arr in model.params().items()},
     }
     write_json(path, doc)
 
 
 def load_checkpoint(path) -> MlpModel:
+    """Read a checkpoint that ``save_checkpoint`` wrote.
+
+    Header fields must be JSON numbers (integers for ``version``, ``dim``
+    and ``widths``), and only version 2 is read.  Each parameter must be
+    strict base64 (no character outside the alphabet, no whitespace, exact
+    padding) of exactly ``8 * prod(shape)`` bytes for the shape the header
+    implies, and every value must be finite.  Anything else raises
+    FormatError.
+    """
     path = Path(path)
     doc = read_json(path)
     if not isinstance(doc, dict):
@@ -267,7 +286,8 @@ def load_checkpoint(path) -> MlpModel:
     except TypeError:
         supported = False
     if not supported:
-        raise FormatError(path, "field 'version'", f"unsupported version {version!r}")
+        raise FormatError(path, "field 'version'",
+                          f"unsupported version {version!r}, expected {CHECKPOINT_VERSION}")
     try:
         dim = json_number(doc["dim"], integer=True)
         h1, h2 = (json_number(w, integer=True) for w in doc["widths"])
@@ -282,14 +302,15 @@ def load_checkpoint(path) -> MlpModel:
     shapes = {"w1": (h1, dim), "b1": (h1,), "w2": (h2, h1), "b2": (h2,), "w3": (1, h2), "b3": (1,)}
     arrays = {}
     for name, shape in shapes.items():
-        want = int(np.prod(shape))
+        want = 8 * math.prod(shape)
         try:
-            flat = json_numbers(params.get(name))
-        except (TypeError, ValueError, OverflowError):
-            flat = None
-        if flat is None or flat.shape != (want,):
-            raise FormatError(path, f"field 'params.{name}'", f"expected {want} numbers")
-        arrays[name] = flat.reshape(shape)
+            raw = base64.b64decode(params.get(name), validate=True)
+        except (TypeError, ValueError) as e:  # binascii.Error is a ValueError
+            raise FormatError(path, f"field 'params.{name}'", f"expected base64 text: {e}") from None
+        if len(raw) != want:
+            raise FormatError(path, f"field 'params.{name}'",
+                              f"expected {want} bytes of float64, got {len(raw)}")
+        arrays[name] = np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
     try:
         return MlpModel(dropout_rate=dropout_rate, **arrays)
     except ValueError as e:

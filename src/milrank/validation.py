@@ -39,7 +39,7 @@ def write_lines(path, lines) -> None:
 def write_json(path, doc) -> None:
     """Write ``doc`` as one line of JSON, which ``read_json`` reads back."""
     # not through write_lines, which would hold one more copy of the text:
-    # a paper-scale checkpoint is 47 MB of it
+    # a paper-scale checkpoint is 23 MB of it
     Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
 
 
@@ -58,13 +58,15 @@ def json_number(value, *, integer: bool = False):
 
 
 def json_numbers(values) -> np.ndarray:
-    """A JSON list of numbers as a float64 array.  The dtype numpy infers must
-    be numeric, so strings, booleans, nulls and objects raise TypeError
-    instead of being converted."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iuf":
-        raise TypeError(f"expected JSON numbers, got values of dtype {arr.dtype}")
-    return arr.astype(np.float64, copy=False)
+    """A JSON list of numbers as a float64 array.  Each entry is checked by
+    ``json_number``, so a string, boolean, null, list or object anywhere in
+    the list, or a value that is not a list, raises TypeError instead of
+    being converted."""
+    if not isinstance(values, list):
+        raise TypeError(f"expected a JSON list of numbers, got {type(values).__name__}")
+    for value in values:
+        json_number(value)
+    return np.array(values, dtype=np.float64)
 
 
 def content_lines(path):

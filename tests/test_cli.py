@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import hashlib
 import inspect
@@ -46,12 +47,18 @@ def zero_checkpoint(path, dim=8, h1=4, h2=2):
     return model
 
 
+def b64(values):
+    """``values`` as a version-2 checkpoint parameter: base64 of their
+    little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
 def mlp_doc(**changes):
     """A valid dim-8, widths-[4, 2] checkpoint document, with the named header
-    fields or parameter lists replaced."""
-    params = {"w1": [0.0] * 32, "b1": [0.0] * 4, "w2": [0.0] * 8, "b2": [0.0] * 2,
-              "w3": [0.0] * 2, "b3": [0.0]}
-    doc = {"version": 1, "dim": 8, "widths": [4, 2], "dropout_rate": 0.6, "params": params}
+    fields or parameter texts replaced."""
+    params = {"w1": b64([0.0] * 32), "b1": b64([0.0] * 4), "w2": b64([0.0] * 8),
+              "b2": b64([0.0] * 2), "w3": b64([0.0] * 2), "b3": b64([0.0])}
+    doc = {"version": 2, "dim": 8, "widths": [4, 2], "dropout_rate": 0.6, "params": params}
     for name, value in changes.items():
         (params if name in params else doc)[name] = value
     return doc
@@ -382,25 +389,47 @@ class TestScore:
 
     @pytest.mark.parametrize("doc", [
         [1, 2, 3],
-        {"version": 1, "dim": 8, "widths": [4, 2], "dropout_rate": 0.6, "params": [1.0]},
-        {"version": 1, "dim": 8, "widths": [4, 2], "dropout_rate": 0.6,
-         "params": {"w1": 5, "b1": [], "w2": [], "b2": [], "w3": [], "b3": []}},
-        {"version": 1, "dim": 1, "widths": [1, 1], "dropout_rate": 1.5,
-         "params": {"w1": [0.0], "b1": [0.0], "w2": [0.0], "b2": [0.0], "w3": [0.0], "b3": [0.0]}},
-        {"version": 1, "dim": 8, "widths": [0, 1], "dropout_rate": 0.6,
-         "params": {"w1": [], "b1": [], "w2": [], "b2": [0.0], "w3": [0.0], "b3": [0.0]}},
+        {"version": 2, "dim": 8, "widths": [4, 2], "dropout_rate": 0.6, "params": [1.0]},
+        {"version": 2, "dim": 8, "widths": [4, 2], "dropout_rate": 0.6,
+         "params": {"w1": 5, "b1": "", "w2": "", "b2": "", "w3": "", "b3": ""}},
+        {"version": 2, "dim": 1, "widths": [1, 1], "dropout_rate": 1.5,
+         "params": {name: b64([0.0]) for name in ("w1", "b1", "w2", "b2", "w3", "b3")}},
+        {"version": 2, "dim": 8, "widths": [0, 1], "dropout_rate": 0.6,
+         "params": {"w1": "", "b1": "", "w2": "", "b2": b64([0.0]), "w3": b64([0.0]),
+                    "b3": b64([0.0])}},
         # strings and booleans are not numbers, though int()/float() would convert them
         mlp_doc(dim="8"),
         mlp_doc(widths="42"),
         mlp_doc(dropout_rate=False),
-        mlp_doc(w1=["0.0"] * 32),
-        mlp_doc(b1=[False] * 4),
-        mlp_doc(w2=["0"] * 8),
-        mlp_doc(b2=["0.0", "0.0"]),
-        mlp_doc(w3=[True, False]),
-        mlp_doc(b3=["0.5"]),
+        # a parameter is one base64 text, not numbers, a list of texts, null or an object
+        mlp_doc(w1=[0.0] * 32),
+        mlp_doc(b1=False),
+        mlp_doc(w2=[b64([0.0])] * 8),
+        mlp_doc(b2=None),
+        mlp_doc(w3={"text": b64([0.0] * 2)}),
+        mlp_doc(b3="0.5"),
         mlp_doc(version=True),
         mlp_doc(version=1.0),
+        # strict base64: only the standard alphabet, exact padding, no whitespace
+        mlp_doc(w1=b64([0.0] * 32).replace("A", "-", 1)),
+        mlp_doc(b1=b64([0.0] * 4).replace("A", "_", 1)),
+        mlp_doc(b3=b64([0.0]).rstrip("=")),
+        mlp_doc(b3=b64([0.0]) + "="),
+        mlp_doc(w2=b64([0.0] * 4) + "\n" + b64([0.0] * 4)),
+        mlp_doc(b2=b64([0.0] * 2) + "\n"),
+        mlp_doc(w3=" " + b64([0.0] * 2)),
+        # exactly 8 bytes for each of the shape's values
+        mlp_doc(w1=b64([0.0] * 31)),
+        mlp_doc(w1=b64([0.0] * 33)),
+        mlp_doc(b1=b64([0.0] * 4)[:-4]),
+        # every value finite
+        mlp_doc(b3=b64([float("nan")])),
+        mlp_doc(w2=b64([0.0] * 7 + [float("inf")])),
+        mlp_doc(w3=b64([0.0, float("-inf")])),
+        mlp_doc(version=3),
+        # a w1 whose element count, 2**64, wraps to 0 in int64 arithmetic
+        {"version": 2, "dim": 2**32, "widths": [2**32, 1], "dropout_rate": 0.6,
+         "params": dict.fromkeys(("w1", "b1", "w2", "b2", "w3", "b3"), "")},
     ])
     def test_malformed_checkpoint_is_format_error(self, dataset, tmp_path, capsys, doc):
         ckpt = tmp_path / "bad.json"
@@ -409,6 +438,18 @@ class TestScore:
         assert main(["score", "--checkpoint", str(ckpt), "--features", str(feature_path),
                      "--out", str(tmp_path / "s")]) == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_version_1_checkpoint_is_format_error(self, dataset, tmp_path, capsys):
+        # a version-1 document, each parameter a list of JSON numbers
+        params = {"w1": [0.0] * 32, "b1": [0.0] * 4, "w2": [0.0] * 8, "b2": [0.0] * 2,
+                  "w3": [0.0] * 2, "b3": [0.0]}
+        ckpt = tmp_path / "v1.json"
+        ckpt.write_text(json.dumps({"version": 1, "dim": 8, "widths": [4, 2], "dropout_rate": 0.6,
+                                    "params": params}))
+        feature_path = next((dataset / "features").glob("*.feat"))
+        assert main(["score", "--checkpoint", str(ckpt), "--features", str(feature_path),
+                     "--out", str(tmp_path / "s")]) == 3
+        assert "unsupported version 1, expected 2" in capsys.readouterr().err
 
     def test_unchanged_mlp_doc_scores(self, dataset, tmp_path):
         # the malformed cases above each differ from this document in one field
@@ -498,6 +539,32 @@ class TestEval:
         assert captured.err == f"error: threshold must be finite, got {float(threshold)}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["eval", "baseline-eval"])
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_stops_before_reading(self, dataset, tmp_path, capsys, command,
+                                                       threshold):
+        # with no normal video the threshold is never used, yet it is still refused,
+        # and before the model or the manifest is read
+        manifest = dataset / "anomalous.txt"
+        manifest.write_text("".join(line + "\n" for line in
+                                    (dataset / "manifest_test.txt").read_text().splitlines()
+                                    if line.split()[1] == "1"))
+        model = tmp_path / "model.json"
+        if command == "eval":
+            zero_checkpoint(model)
+        else:
+            model.write_text(json.dumps({"w": [0.0] * 8, "b": 0.0, "c_reg": 1.0}))
+        flag = "--checkpoint" if command == "eval" else "--model"
+        out = tmp_path / "e"
+        argv = [command, "--manifest", str(manifest), "--segments", "8", "--threshold", threshold,
+                "--out", str(out)]
+        assert main([*argv, flag, str(model)]) == 2
+        assert main([*argv, flag, str(tmp_path / "missing.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == 2 * f"error: threshold must be finite, got {float(threshold)}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestBaselineCommands:
     def test_train_then_eval(self, dataset, tmp_path, capsys):
@@ -517,7 +584,8 @@ class TestBaselineCommands:
 class TestBaselineCheckpoint:
     @pytest.mark.parametrize("field, value", [("w", ["a"]), ("b", "x"), ("c_reg", [1.0]),
                                               ("w", 1.0), ("w", [[0.0] * 8]), ("w", []),
-                                              ("w", ["0.5"] * 8), ("b", "0.5"), ("c_reg", False)])
+                                              ("w", ["0.5"] * 8), ("b", "0.5"), ("c_reg", False),
+                                              ("w", [True] + [0.5] * 7), ("w", [0.5] * 7 + [None])])
     def test_malformed_value_is_format_error(self, dataset, tmp_path, field, value):
         doc = {"w": [0.0] * 8, "b": 0.0, "c_reg": 1.0}
         doc[field] = value

@@ -7,6 +7,7 @@ the wrong code.  Inputs are random bytes, random text over each format's
 own tokens, and valid files with corrupted bytes or fields.
 """
 
+import base64
 import json
 
 import numpy as np
@@ -32,11 +33,11 @@ def parses_or_rejects(parser, path, data):
         pass
 
 
-def corrupted(valid: bytes):
-    """``valid`` with some bytes overwritten, then cut or extended."""
-    edits = st.lists(st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)), max_size=6)
-    return st.builds(lambda changes, end, tail: _apply(valid, changes)[:end] + tail,
-                     edits, st.integers(0, len(valid) + 4), st.binary(max_size=12))
+def corrupted(valid: bytes, values=st.integers(0, 255)):
+    """``valid`` with some bytes overwritten, then cut or extended, by bytes from ``values``."""
+    edits = st.lists(st.tuples(st.integers(0, len(valid) - 1), values), max_size=6)
+    return st.builds(lambda changes, end, tail: _apply(valid, changes)[:end] + bytes(tail),
+                     edits, st.integers(0, len(valid) + 4), st.lists(values, max_size=12))
 
 
 def _apply(data, changes):
@@ -142,9 +143,18 @@ def json_documents(valid_path, field_paths):
             | st.sampled_from([b"[" * 100_000, b"1" * 5000, b"\xff{}"]))
 
 
+MLP_PARAMS = ("w1", "b1", "w2", "b2", "w3", "b3")
 MLP_FIELDS = [("version",), ("dim",), ("widths",), ("widths", 0), ("dropout_rate",), ("params",),
-              *(("params", name) for name in ("w1", "b1", "w2", "b2", "w3", "b3")),
-              ("params", "w1", 0)]
+              *(("params", name) for name in MLP_PARAMS)]
+# the base64 alphabet, its padding, whitespace, the URL-safe alphabet's two
+# letters and a few other characters, one byte each in Latin-1
+B64_CHARS = "AZaz09+/= \n\t-_*.\x00é".encode("latin-1")
+
+
+def corrupted_text(text):
+    """``text`` with some characters replaced by B64_CHARS, then cut or extended."""
+    return corrupted(text.encode("ascii"), st.sampled_from(B64_CHARS)).map(
+        lambda data: data.decode("latin-1"))
 
 
 class TestCheckpoints:
@@ -155,10 +165,26 @@ class TestCheckpoints:
         parses_or_rejects(load_checkpoint, workdir / "x_mlp.json",
                           data.draw(json_documents(path, MLP_FIELDS)))
 
+    @FUZZ
+    @given(data=st.data())
+    def test_mlp_corrupted_base64(self, workdir, data):
+        doc = json.loads((workdir / "mlp.json").read_text())
+        name = data.draw(st.sampled_from(MLP_PARAMS))
+        text = data.draw(corrupted_text(doc["params"][name]))
+        doc["params"][name] = text
+        (workdir / "x_mlp.json").write_text(json.dumps(doc))
+        try:
+            model = load_checkpoint(workdir / "x_mlp.json")
+        except FormatError:
+            return
+        # only strict base64 of the parameter's exact byte count loads
+        assert base64.b64decode(text, validate=True) == getattr(model, name).astype("<f8").tobytes()
+
     def test_mlp_negative_widths(self, workdir):
         doc = json.loads((workdir / "mlp.json").read_text())
         doc.update(dim=-1, widths=[-1, -1])
-        doc["params"].update(w1=[0.0], b1=[0.0], w2=[0.0])
+        zero = base64.b64encode(np.zeros(1).tobytes()).decode()
+        doc["params"].update(w1=zero, b1=zero, w2=zero)
         (workdir / "x_mlp.json").write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="negative"):
             load_checkpoint(workdir / "x_mlp.json")

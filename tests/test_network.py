@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import math
 
@@ -284,18 +285,36 @@ class TestCheckpoint:
             assert np.array_equal(arr, getattr(loaded, name))
         assert loaded.dropout_rate == model.dropout_rate
 
+    def test_special_values_and_paper_shape_bit_exact(self, tmp_path):
+        model = init_model(4096, seed=21)
+        assert model.w1.shape == (512, 4096)
+        w3 = model.w3.copy()
+        w3[0, :5] = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+        model = clone_with_params(model, {"w3": w3})
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        save_checkpoint(model, p1)
+        loaded = load_checkpoint(p1)
+        for name, arr in model.params().items():
+            assert getattr(loaded, name).tobytes() == arr.tobytes(), name
+            assert getattr(loaded, name).flags.writeable
+        save_checkpoint(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
     def test_bad_version(self, tmp_path):
         path = tmp_path / "m.json"
         save_checkpoint(tiny_model(), path)
-        doc = path.read_text().replace('"version": 1', '"version": 2')
-        path.write_text(doc)
-        with pytest.raises(FormatError):
-            load_checkpoint(path)
+        doc = path.read_text()
+        for version in (1, 3):
+            path.write_text(doc.replace('"version": 2', f'"version": {version}'))
+            with pytest.raises(FormatError, match=f"unsupported version {version}"):
+                load_checkpoint(path)
 
     def test_wrong_param_length(self, tmp_path):
         path = tmp_path / "m.json"
         save_checkpoint(tiny_model(), path)
-        doc = path.read_text().replace('"b3": [0.0]', '"b3": [0.0, 0.0]')
-        path.write_text(doc)
+        one, two = (base64.b64encode(np.zeros(n).tobytes()).decode() for n in (1, 2))
+        doc = path.read_text()
+        assert f'"b3": "{one}"' in doc
+        path.write_text(doc.replace(f'"b3": "{one}"', f'"b3": "{two}"'))
         with pytest.raises(FormatError, match="b3"):
             load_checkpoint(path)
