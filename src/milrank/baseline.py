@@ -44,11 +44,6 @@ def video_feature(f: FeatureMatrix) -> np.ndarray:
     return l2_normalize_rows(f.data).mean(axis=0)
 
 
-def hinge_objective(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, c_reg: float) -> float:
-    margins = y * (X @ w - b)
-    return c_reg * float(np.maximum(0.0, 1.0 - margins).mean()) + 0.5 * float(w @ w)
-
-
 def fit_linear(X, y, c_reg: float = 1.0, epochs: int = 1000,
                learning_rate: float = 0.1) -> LinearModel:
     """Subgradient descent from w=0, b=0 over full-batch epochs.

@@ -2,9 +2,11 @@
 
 This module stays free of numpy imports: the ``--threads`` cap has to be
 exported to the BLAS environment variables before numpy first loads, so
-the actual command implementations are imported inside ``main``.  An
-explicit ``--threads`` overwrites those variables; without it, values
-already set in the environment are kept and unset ones default to 1.
+the actual command implementations are imported inside ``main``.  It
+relies on the package ``__init__`` importing nothing, since importing
+``milrank.cli`` runs that file first.  An explicit ``--threads``
+overwrites those variables; without it, values already set in the
+environment are kept and unset ones default to 1.
 """
 
 from __future__ import annotations

@@ -37,7 +37,3 @@ class NonFiniteLossError(MilrankError):
 
 class MetricError(MilrankError):
     """A metric is undefined for the given frame pool."""
-
-
-class NotFittedError(MilrankError):
-    """An estimator method requiring a fitted model was called before fit."""

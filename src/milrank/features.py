@@ -11,7 +11,7 @@ supported:
 
 Featurization (row normalization and segment means) maps float64 arrays
 to arrays.  ``make_bag`` keeps its float64 result, which scoring and
-evaluation use; ``training_bag`` rounds it once to float32, the dtype the
+evaluation use; ``load_bags`` rounds it once to float32, the dtype the
 trainer's layer-1 GEMMs run in.  Frame counts stay on the FeatureMatrix.
 """
 
@@ -239,16 +239,6 @@ def make_bag(f: FeatureMatrix, label: int, m: int = DEFAULT_SEGMENTS) -> Bag:
     return Bag(f.video_id, label, partition_segments(l2_normalize_rows(f.data), m))
 
 
-def training_bag(f: FeatureMatrix, label: int, m: int = DEFAULT_SEGMENTS) -> Bag:
-    """``make_bag`` with its float64 segment means rounded once to float32.
-
-    Every bag the trainer reads is built here, so a run from a manifest and
-    an estimator fit on the same feature matrices see the same bytes.
-    """
-    bag = make_bag(f, label, m)
-    return Bag(bag.video_id, bag.label, bag.segments.astype(np.float32))
-
-
 def load_manifest(path, split: str) -> DatasetManifest:
     """Parse a dataset manifest.
 
@@ -294,8 +284,12 @@ def _listed_file(manifest_path: Path, lineno: int, kind: str, name: str) -> Path
 def load_bags(manifest: DatasetManifest, m: int = DEFAULT_SEGMENTS) -> list[Bag]:
     """Featurize every manifest entry into a training bag, in manifest order.
 
-    Segments are cached as float32, half the float64 footprint, and are the
-    inputs of the trainer's float32 layer-1 GEMMs.
+    Each bag is ``make_bag``'s with its float64 segment means rounded once to
+    float32: half the footprint, and the inputs of the trainer's float32
+    layer-1 GEMMs.
     """
-    return [training_bag(load_features(entry.feature_path), entry.label, m)
-            for entry in manifest.entries]
+    bags = []
+    for entry in manifest.entries:
+        bag = make_bag(load_features(entry.feature_path), entry.label, m)
+        bags.append(Bag(bag.video_id, bag.label, bag.segments.astype(np.float32)))
+    return bags

@@ -44,7 +44,7 @@ PROBE_HEADER = "iteration,segment_index,score"
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Every setting of a training run; the CLI and the estimator derive theirs from it."""
+    """Every setting of a training run; the CLI derives its flags and defaults from it."""
 
     iterations: int = 2000
     seed: int = 0
@@ -251,13 +251,16 @@ def train_on_bags(pos_bags: list[Bag], neg_bags: list[Bag], cfg: TrainConfig,
     return model, log
 
 
-def train_bags(bags: list[Bag], cfg: TrainConfig, snapshot_hook=None) -> tuple[MlpModel, TrainingLog]:
-    """Split labelled bags into positives and negatives, then train.
+def train(manifest: DatasetManifest, cfg: TrainConfig,
+          snapshot_hook=None) -> tuple[MlpModel, TrainingLog]:
+    """Featurize a manifest once, split its bags into positives and negatives,
+    then train.
 
     The probe video (whose eval-mode scores are snapshotted every
     ``snapshot_every`` iterations) is ``cfg.probe_video_id`` when set,
     otherwise the first positive bag.
     """
+    bags = load_bags(manifest, cfg.segments_per_bag)
     pos_bags = [b for b in bags if b.label == 1]
     neg_bags = [b for b in bags if b.label == 0]
     probe_bag = None
@@ -268,9 +271,3 @@ def train_bags(bags: list[Bag], cfg: TrainConfig, snapshot_hook=None) -> tuple[M
     elif cfg.snapshot_every and pos_bags:
         probe_bag = pos_bags[0]
     return train_on_bags(pos_bags, neg_bags, cfg, probe_bag=probe_bag, snapshot_hook=snapshot_hook)
-
-
-def train(manifest: DatasetManifest, cfg: TrainConfig,
-          snapshot_hook=None) -> tuple[MlpModel, TrainingLog]:
-    """Featurize a manifest once, then ``train_bags``."""
-    return train_bags(load_bags(manifest, cfg.segments_per_bag), cfg, snapshot_hook)

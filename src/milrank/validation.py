@@ -106,16 +106,3 @@ def check_score_vector(scores, *, length: int | None = None, name: str = "scores
     if vec.size and (vec.min() < 0.0 or vec.max() > 1.0):
         raise ValueError(f"{name} entries must lie in [0, 1]")
     return vec
-
-
-def check_binary_labels(y, *, n: int | None = None, name: str = "y") -> np.ndarray:
-    """Coerce to a 1-D int array of 0/1 labels."""
-    arr = np.asarray(y)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-dimensional")
-    if n is not None and arr.shape[0] != n:
-        raise ValueError(f"{name} must have length {n}, got {arr.shape[0]}")
-    as_int = arr.astype(np.int64)
-    if not np.array_equal(as_int, arr) or not np.isin(as_int, (0, 1)).all():
-        raise ValueError(f"{name} must contain only 0/1 labels")
-    return as_int

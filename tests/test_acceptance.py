@@ -14,9 +14,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import milrank
-from milrank.baseline import train_linear
-from milrank.features import load_features, load_manifest, write_features
+from milrank.baseline import score_linear, train_linear
+from milrank.features import FeatureMatrix, load_bags, load_features, load_manifest, write_features
 from milrank.loss import (
     LossParams,
     ranking_loss_and_grad,
@@ -242,7 +241,7 @@ def test_c07_constraint_effect(trained):
     bare = replace(cfg, loss_params=LossParams(smoothness_weight=0.0, sparsity_weight=0.0))
     unconstrained, _ = train(manifest, bare)
 
-    pos_bags = [b for b in milrank.load_bags(manifest, 32) if b.label == 1]
+    pos_bags = [b for b in load_bags(manifest, 32) if b.label == 1]
 
     def stats(model):
         scores = [forward(model, b.segments) for b in pos_bags]
@@ -274,7 +273,7 @@ def test_c09_baseline_gap(trained):
     baseline = train_linear(trained["train_manifest"], c_reg=1.0, epochs=1000)
     baseline_eval = evaluate_manifest(
         trained["test_manifest"],
-        lambda f: milrank.score_linear(baseline, f, 32), m=32)
+        lambda f: score_linear(baseline, f, 32), m=32)
     mil_auc = trained["evaluation"].curve.auc
     assert baseline_eval.curve.auc < mil_auc, \
         f"baseline {baseline_eval.curve.auc:.4f} !< ranking model {mil_auc:.4f}"
@@ -317,7 +316,7 @@ def test_c11_adagrad_unit_oracle():
 
 def test_c12_format_round_trips(tmp_path):
     rng = np.random.default_rng(12)
-    f = milrank.FeatureMatrix("v", rng.standard_normal((9, 7)), 144)
+    f = FeatureMatrix("v", rng.standard_normal((9, 7)), 144)
     p1, p2 = tmp_path / "a.feat", tmp_path / "b.feat"
     write_features(f, p1, "binary")
     write_features(load_features(p1, "binary"), p2, "binary")

@@ -4,7 +4,6 @@ import pytest
 from milrank.baseline import (
     LinearModel,
     fit_linear,
-    hinge_objective,
     load_linear,
     save_linear,
     score_linear,
@@ -20,6 +19,12 @@ def write_video(tmp_path, name, data, n_frames=None):
     f = FeatureMatrix(name, data, n_frames or 16 * data.shape[0])
     write_features(f, tmp_path / f"{name}.feat", "binary")
     return f
+
+
+def hinge_objective(w, b, X, y, c_reg):
+    """The objective ``fit_linear`` descends, for labels ``y`` in {-1, +1}."""
+    margins = y * (X @ w - b)
+    return c_reg * float(np.maximum(0.0, 1.0 - margins).mean()) + 0.5 * float(w @ w)
 
 
 class TestFitLinear:

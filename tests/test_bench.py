@@ -9,14 +9,12 @@ only when it is next run.  A span whose name no longer resolves is skipped
 by the tracer, so its per-layer metric silently reads 0.
 """
 
-import collections
 import importlib
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
-import milrank
 from milrank.features import load_bags, load_manifest
 from milrank.metrics import evaluate_manifest, score_video
 from milrank.optim import TrainConfig, train_on_bags
@@ -74,10 +72,3 @@ def test_bench_spans_called(tmp_path, monkeypatch):
     uncalled = [name for module, attr, name in spans.WRAPPED
                 if (module, attr) not in STALE_SPANS and name not in recorded]
     assert not uncalled
-
-
-def test_public_names_resolve_once():
-    repeated = [name for name, n in collections.Counter(milrank.__all__).items() if n > 1]
-    assert not repeated
-    # a name that does not resolve makes ``from milrank import *`` raise
-    assert [name for name in milrank.__all__ if not hasattr(milrank, name)] == []

@@ -5,6 +5,8 @@ import inspect
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -623,6 +625,17 @@ class TestTextReaders:
 
 
 class TestThreadPeek:
+    @pytest.mark.parametrize("module", ["milrank", "milrank.cli"])
+    def test_import_leaves_numpy_unloaded(self, module):
+        # ``main`` sets the BLAS thread variables, which numpy reads once as it
+        # loads; so importing the package or ``cli`` must not load numpy first
+        src = os.path.dirname(os.path.dirname(_commands.__file__))
+        code = (f"import sys; sys.path.insert(0, {src!r}); import {module}; "
+                "print('numpy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.stdout == "False\n", proc.stdout + proc.stderr
+
     def test_threads_flag_parsed(self):
         from milrank.cli import _peek_threads
         assert _peek_threads(["train", "--threads", "4"]) == 4

@@ -1,16 +1,26 @@
-"""No module of the package or its tests imports a name it never uses.
+"""Import hygiene of the package and its tests.
 
-No linter runs with the tests, so this AST scan stands in for one check:
-an imported name must be referenced somewhere in its module (as a name or
-the root of an attribute chain) or be listed in ``__all__``.  Imports from
+No linter runs with the tests, so an AST scan stands in for one check: an
+imported name must be referenced somewhere in its module (as a name or the
+root of an attribute chain) or be listed in ``__all__``.  Imports from
 ``__future__`` are exempt.
+
+The package ``__init__`` imports no submodule, so nothing fixes the order
+in which they load.  Each one is imported alone in a fresh interpreter:
+an import cycle would otherwise fail only for whichever module a program
+happens to import first.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
-SCANNED = sorted((ROOT / "src" / "milrank").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "milrank").glob("*.py"))
+SCANNED = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def imported_names(tree):
@@ -48,3 +58,11 @@ def test_scan_sees_an_unused_import():
               "from x import y, z as w\n__all__ = ['y']\nos.sep\n")
     tree = ast.parse(source)
     assert [name for _, name in imported_names(tree) if name not in used_names(tree)] == ["json", "w"]
+
+
+@pytest.mark.parametrize("module", [
+    "milrank" if path.stem == "__init__" else f"milrank.{path.stem}" for path in PACKAGE])
+def test_module_imports_alone(module):
+    code = f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import {module}"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
