@@ -13,10 +13,9 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from dataclasses import fields
 from pathlib import Path
 
-from .baseline import FIT_DEFAULTS, load_linear, save_linear, score_linear, train_linear
+from .baseline import fit_linear, load_linear, save_linear, score_linear, train_linear
 from .exceptions import (
     DataError,
     DimensionMismatchError,
@@ -25,6 +24,7 @@ from .exceptions import (
     NonFiniteLossError,
 )
 from .features import DEFAULT_SEGMENTS, load_features, load_manifest
+from .loss import LossParams
 from .metrics import (
     check_threshold,
     entry_annotation,
@@ -58,8 +58,8 @@ EXIT_CODES = (
 )
 
 # Settings a command takes from a flag or a config-file key of the same name:
-# (flag, the setting names it sets, help).  Types and defaults come from the
-# settings' defaults, so the dataclasses and fit_linear stay their one source.
+# (flag, the setting names it sets, help).  A setting's type, default and
+# destination come from the signature of the callee (``*_CALLEES``) naming it.
 TRAIN_FLAGS = (
     ("iters", ("iterations",), "training iterations"),
     ("seed", ("seed",), "seed of initialisation, pair sampling and dropout"),
@@ -78,7 +78,7 @@ TRAIN_FLAGS = (
     ("probe", ("probe_video_id",),
      "probe video id for score snapshots (default: the first positive video)"),
 )
-TRAIN_DEFAULTS = TrainConfig.defaults()
+TRAIN_CALLEES = (TrainConfig, LossParams)
 
 SYNTH_FLAGS = (
     ("pos", ("n_pos_videos",), "positive video count"),
@@ -92,15 +92,14 @@ SYNTH_FLAGS = (
     ("test-pos", ("test_pos",), "extra held-out positives written to manifest_test.txt"),
     ("test-neg", ("test_neg",), "extra held-out negatives written to manifest_test.txt"),
 )
-SYNTH_DEFAULTS = {**{f.name: f.default for f in fields(SynthSpec)},
-                  **{name: inspect.signature(generate).parameters[name].default
-                     for name in ("test_pos", "test_neg")}}
+SYNTH_CALLEES = (SynthSpec, generate)
 
 BASELINE_FLAGS = (
     ("c-reg", ("c_reg",), "weight of the mean hinge against 0.5 ||w||^2"),
     ("epochs", ("epochs",), "full-batch subgradient epochs"),
     ("lr", ("learning_rate",), "subgradient step size"),
 )
+BASELINE_CALLEES = (fit_linear,)
 
 
 def _parse_config_file(path: Path, keys) -> dict[str, str]:
@@ -115,11 +114,18 @@ def _parse_config_file(path: Path, keys) -> dict[str, str]:
     return values
 
 
+def _defaults(callees) -> dict:
+    """Each keyword default in the callees' signatures, by parameter name."""
+    return {name: p.default for callee in callees
+            for name, p in inspect.signature(callee).parameters.items() if p.default is not p.empty}
+
+
 def _flag_type(default):
     return str if default is None else type(default)
 
 
-def _add_setting_flags(parser: argparse.ArgumentParser, flags, defaults: dict) -> None:
+def _add_setting_flags(parser: argparse.ArgumentParser, flags, callees) -> None:
+    defaults = _defaults(callees)
     for flag, names, text in flags:
         default = defaults[names[0]]
         if default is not None:
@@ -127,12 +133,14 @@ def _add_setting_flags(parser: argparse.ArgumentParser, flags, defaults: dict) -
         parser.add_argument(f"--{flag}", type=_flag_type(default), default=None, help=text)
 
 
-def _settings(args, flags, defaults: dict) -> dict:
-    """Settings given by flag or config file (the flag wins), by setting name.
+def _settings(args, flags, callees) -> list[dict]:
+    """Settings given by flag or config file (the flag wins), split into one
+    keyword dict per callee of the names its signature takes.
 
-    Settings given neither way are left out, so the callee's defaults apply.
+    Settings given neither way are left out, so the callees' defaults apply.
     """
     config = _parse_config_file(args.config, [flag for flag, _, _ in flags]) if args.config else {}
+    defaults = _defaults(callees)
     values = {}
     for flag, names, _ in flags:
         value = getattr(args, flag.replace("-", "_"))
@@ -140,13 +148,13 @@ def _settings(args, flags, defaults: dict) -> dict:
             value = _flag_type(defaults[names[0]])(config[flag])
         if value is not None:
             values.update(dict.fromkeys(names, value))
-    return values
+    return [{name: values[name] for name in inspect.signature(callee).parameters if name in values}
+            for callee in callees]
 
 
 def cmd_synth(args) -> int:
-    values = _settings(args, SYNTH_FLAGS, SYNTH_DEFAULTS)
-    split = {name: values.pop(name) for name in ("test_pos", "test_neg") if name in values}
-    dataset = generate(SynthSpec(**values), args.out, **split)
+    spec, split = _settings(args, SYNTH_FLAGS, SYNTH_CALLEES)
+    dataset = generate(SynthSpec(**spec), args.out, **split)
     print(f"wrote {len(dataset.feature_paths)} feature files, manifest, annotations, "
           f"and planted index under {dataset.out_dir}")
     return EXIT_OK
@@ -173,7 +181,8 @@ def cmd_ingest_check(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = TrainConfig.from_values(**_settings(args, TRAIN_FLAGS, TRAIN_DEFAULTS))
+    settings, loss = _settings(args, TRAIN_FLAGS, TRAIN_CALLEES)
+    cfg = TrainConfig(loss_params=LossParams(**loss), **settings)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -231,9 +240,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_baseline_train(args) -> int:
-    values = _settings(args, BASELINE_FLAGS, FIT_DEFAULTS)
+    (fit_params,) = _settings(args, BASELINE_FLAGS, BASELINE_CALLEES)
     manifest = load_manifest(args.manifest, "train")
-    save_linear(train_linear(manifest, **values), args.out)
+    save_linear(train_linear(manifest, **fit_params), args.out)
     print(f"saved baseline model to {args.out}")
     return EXIT_OK
 
@@ -243,9 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="milrank",
         description="Weakly-supervised video anomaly scoring via multiple-instance ranking.",
     )
+    # only the commands with settings read a config file; the others refuse --config
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", type=Path, default=None,
+                            help="optional key=value config file; flags override it")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, default=None,
-                        help="optional key=value config file; flags override it")
     common.add_argument("--threads", type=int, default=None,
                         help="cap on BLAS threads, overriding OMP_NUM_THREADS and the other "
                              "thread variables (default: keep them, else 1, for "
@@ -253,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "in the same process cannot re-pin BLAS with it")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic dataset")
+    p = sub.add_parser("synth", parents=[configured, common], help="generate a synthetic dataset")
     p.add_argument("--out", type=Path, required=True)
-    _add_setting_flags(p, SYNTH_FLAGS, SYNTH_DEFAULTS)
+    _add_setting_flags(p, SYNTH_FLAGS, SYNTH_CALLEES)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ingest-check", parents=[common], help="validate a manifest and its files")
@@ -264,10 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="test also checks each entry's annotation as eval reads it")
     p.set_defaults(func=cmd_ingest_check)
 
-    p = sub.add_parser("train", parents=[common], help="train the ranking model")
+    p = sub.add_parser("train", parents=[configured, common], help="train the ranking model")
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    _add_setting_flags(p, TRAIN_FLAGS, TRAIN_DEFAULTS)
+    _add_setting_flags(p, TRAIN_FLAGS, TRAIN_CALLEES)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("score", parents=[common], help="score one feature file with a checkpoint")
@@ -290,10 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, required=True)
         p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("baseline-train", parents=[common], help="train the linear hinge baseline")
+    p = sub.add_parser("baseline-train", parents=[configured, common],
+                       help="train the linear hinge baseline")
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    _add_setting_flags(p, BASELINE_FLAGS, FIT_DEFAULTS)
+    _add_setting_flags(p, BASELINE_FLAGS, BASELINE_CALLEES)
     p.set_defaults(func=cmd_baseline_train)
     return parser
 

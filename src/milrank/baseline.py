@@ -13,7 +13,6 @@ with labels in {-1, +1}, which is deterministic from the zero start.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,11 +70,6 @@ def fit_linear(X, y, c_reg: float = 1.0, epochs: int = 1000,
         w = w - learning_rate * grad_w
         b = b - learning_rate * grad_b
     return LinearModel(w=w, b=float(b), c_reg=c_reg)
-
-
-# fit_linear's settings and their defaults, read from its signature
-FIT_DEFAULTS = {name: p.default for name, p in inspect.signature(fit_linear).parameters.items()
-                if p.default is not inspect.Parameter.empty}
 
 
 def train_linear(manifest: DatasetManifest, **fit_params) -> LinearModel:

@@ -100,13 +100,16 @@ def load_features(path, format: str | None = None) -> FeatureMatrix:
     number (csv) of the first problem found.
     """
     path = Path(path)
+    return _load_binary(path) if _feature_format(path, format) == "binary" else _load_csv(path)
+
+
+def _feature_format(path: Path, format: str | None) -> str:
+    """The format a feature file at ``path`` is read and written in."""
     if format is None:
         format = "csv" if path.suffix.lower() == ".csv" else "binary"
-    if format == "binary":
-        return _load_binary(path)
-    if format == "csv":
-        return _load_csv(path)
-    raise ValueError(f"unknown feature format {format!r}")
+    if format not in ("binary", "csv"):
+        raise ValueError(f"unknown feature format {format!r}")
+    return format
 
 
 def _load_binary(path: Path) -> FeatureMatrix:
@@ -175,17 +178,17 @@ def _load_csv(path: Path) -> FeatureMatrix:
     return FeatureMatrix(video_id=path.stem, data=np.array(rows).astype(np.float64), n_frames=n_frames)
 
 
-def write_features(f: FeatureMatrix, path, format: str = "binary") -> None:
-    """Write a feature file.  Values are stored as float32; a value that is
-    not finite there raises ValueError and no file is written."""
-    if format not in ("binary", "csv"):
-        raise ValueError(f"unknown feature format {format!r}")
+def write_features(f: FeatureMatrix, path, format: str | None = None) -> None:
+    """Write a feature file, by default in the format ``load_features`` reads it in.
+    Values are stored as float32; a value that is not finite there raises
+    ValueError and no file is written."""
+    path = Path(path)
+    format = _feature_format(path, format)
     with np.errstate(over="ignore"):
         values = f.data.astype("<f4")
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
         raise ValueError(f"{path}: clip {bad.argmax()}: value not finite in 32-bit storage")
-    path = Path(path)
     if format == "binary":
         header = MAGIC + struct.pack("<4I", BINARY_VERSION, f.n_clips, f.dim, f.n_frames)
         path.write_bytes(header + values.tobytes(order="C"))

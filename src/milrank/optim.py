@@ -16,7 +16,7 @@ on one platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +44,9 @@ PROBE_HEADER = "iteration,segment_index,score"
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Every setting of a training run; the CLI derives its flags and defaults from it."""
+    """Every setting of a training run; the CLI reads the defaults from this signature.
+
+    A probe video is scored at the snapshots, so it needs ``snapshot_every`` > 0."""
 
     iterations: int = 2000
     seed: int = 0
@@ -73,25 +75,10 @@ class TrainConfig:
             raise ValueError("learning_rate and adagrad_epsilon must be positive")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be non-negative")
+        if self.probe_video_id is not None and not self.snapshot_every:
+            raise ValueError("a probe video needs snapshot_every > 0")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-
-    @classmethod
-    def defaults(cls) -> dict:
-        """Every setting's default by name, the LossParams fields in place of ``loss_params``."""
-        out = {}
-        for f in fields(cls):
-            if f.name == "loss_params":
-                out.update((lf.name, lf.default) for lf in fields(LossParams))
-            else:
-                out[f.name] = f.default
-        return out
-
-    @classmethod
-    def from_values(cls, **values) -> "TrainConfig":
-        """A config from settings named as in ``defaults``; absent ones keep their default."""
-        loss = {f.name: values.pop(f.name) for f in fields(LossParams) if f.name in values}
-        return cls(loss_params=LossParams(**loss), **values)
 
 
 @dataclass
@@ -264,7 +251,7 @@ def train(manifest: DatasetManifest, cfg: TrainConfig,
     pos_bags = [b for b in bags if b.label == 1]
     neg_bags = [b for b in bags if b.label == 0]
     probe_bag = None
-    if cfg.snapshot_every and cfg.probe_video_id is not None:
+    if cfg.probe_video_id is not None:
         probe_bag = next((b for b in bags if b.video_id == cfg.probe_video_id), None)
         if probe_bag is None:
             raise DataError(f"probe video {cfg.probe_video_id!r} not in manifest")

@@ -19,15 +19,9 @@ STREAM_SYNTH = 4
 
 def derive_rng(*key: int) -> np.random.Generator:
     """Return a generator keyed by the integer tuple ``key``."""
-    for part in key:
-        if part < 0:
-            raise ValueError(f"rng key parts must be non-negative, got {part}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=list(key))))
 
 
 def mix_to_seed(*key: int) -> int:
     """Collapse an integer tuple into a single u64 seed, deterministically."""
-    for part in key:
-        if part < 0:
-            raise ValueError(f"rng key parts must be non-negative, got {part}")
     return int(np.random.SeedSequence(entropy=list(key)).generate_state(1, dtype=np.uint64)[0])

@@ -102,7 +102,7 @@ def generate(spec: SynthSpec, out_dir, test_pos: int = 0, test_neg: int = 0) -> 
                 planted[video_id] = (start, start + run_len)
                 intervals = [(start * FRAMES_PER_CLIP, (start + run_len) * FRAMES_PER_CLIP)]
             path = features_dir / f"{video_id}.feat"
-            write_features(FeatureMatrix(video_id, clips, n_frames), path, "binary")
+            write_features(FeatureMatrix(video_id, clips, n_frames), path)
             feature_paths.append(path)
             manifest_lines[split].append(f"features/{video_id}.feat {label} annotations.txt")
             pairs = intervals + [(-1, -1)] * (ANNOTATION_SLOTS - len(intervals))

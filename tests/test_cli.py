@@ -23,6 +23,7 @@ from milrank.exceptions import (
 )
 from milrank.loss import LossParams
 from milrank.optim import TrainConfig
+from milrank.synthetic import SynthSpec, generate
 from milrank.features import load_features, write_features
 from milrank.network import init_model, load_checkpoint, save_checkpoint
 from milrank.metrics import evaluate_manifest, score_video
@@ -261,6 +262,22 @@ class TestDefaultsFromConfig:
                           "--threads"}
         assert set(helps) - {"--help"} == expected_flags
 
+    SYNTH_FLAG_FIELDS = {
+        "--pos": "n_pos_videos", "--neg": "n_neg_videos", "--dim": "dim", "--clips": "clips_per_video",
+        "--anomaly-fraction": "anomaly_fraction", "--separation": "separation",
+        "--noise-sigma": "noise_sigma", "--seed": "seed", "--test-pos": "test_pos",
+        "--test-neg": "test_neg",
+    }
+
+    def test_synth_help_shows_spec_and_generate_defaults(self, capsys):
+        defaults = {f.name: f.default for f in dataclasses.fields(SynthSpec)}
+        defaults.update((name, p.default) for name, p in inspect.signature(generate).parameters.items())
+        assert defaults["n_pos_videos"] == 20 and defaults["test_pos"] == 0
+        helps = help_by_flag(["synth"], capsys)
+        for flag, name in self.SYNTH_FLAG_FIELDS.items():
+            assert helps[flag].endswith(f"(default {defaults[name]})"), (flag, helps[flag])
+        assert set(helps) - {"--help"} == {*self.SYNTH_FLAG_FIELDS, "--out", "--config", "--threads"}
+
     def test_baseline_train_help_shows_fit_linear_defaults(self, capsys):
         signature = inspect.signature(fit_linear).parameters
         helps = help_by_flag(["baseline-train"], capsys)
@@ -303,6 +320,31 @@ class TestDefaultsFromConfig:
         assert main([*argv, *manifest, "--out", str(out), "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"error: {cfg}: line 2: unknown key {key!r}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ingest-check", "score", "eval", "baseline-eval"])
+    def test_config_refused_without_settings(self, dataset, tmp_path, capsys, command):
+        # these commands have no setting a config file could hold, so they do not take one
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threshold=0.9\nbogus=1\n")
+        ckpt = tmp_path / "zero.json"
+        zero_checkpoint(ckpt)
+        linear = tmp_path / "linear.json"
+        linear.write_text(json.dumps({"w": [0.0] * 8, "b": 0.0, "c_reg": 1.0}))
+        test_manifest = ["--manifest", str(dataset / "manifest_test.txt"), "--segments", "8"]
+        argv = {
+            "ingest-check": ["ingest-check", "--manifest", str(dataset / "manifest.txt")],
+            "score": ["score", "--checkpoint", str(ckpt), "--segments", "8",
+                      "--features", str(dataset / "features" / "pos003.feat")],
+            "eval": ["eval", "--checkpoint", str(ckpt), *test_manifest],
+            "baseline-eval": ["baseline-eval", "--model", str(linear), *test_manifest],
+        }[command]
+        out = [] if command == "ingest-check" else ["--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *out, "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert main([*argv, *out]) == 0
 
 
 class TestTrain:
@@ -348,6 +390,18 @@ class TestTrain:
                      "--batch", "3", "--segments", "8", "--hidden1", "16", "--hidden2", "4"])
         assert code == 4
         assert capsys.readouterr().err == "error: non-finite scores at iteration 2\n"
+
+    @pytest.mark.parametrize("snapshots, error", [
+        ([], "a probe video needs snapshot_every > 0"),
+        (["--snapshot-every", "2"], "probe video 'nosuch' not in manifest"),
+    ], ids=["no-snapshots", "unknown-id"])
+    def test_bad_probe_is_usage_error(self, dataset, tmp_path, capsys, snapshots, error):
+        run = tmp_path / "run"
+        assert main(["train", "--manifest", str(dataset / "manifest.txt"), "--out", str(run),
+                     "--iters", "2", "--batch", "3", "--segments", "8", "--hidden1", "4",
+                     "--hidden2", "2", "--probe", "nosuch", *snapshots]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not list(run.glob("ckpt_*.json"))
 
     def test_config_file_defaults_and_flag_override(self, dataset, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -93,6 +93,25 @@ class TestCsvFormat:
             assert np.array_equal(loaded.data, original.data)
             assert loaded.n_frames == original.n_frames
 
+    def test_default_write_follows_extension(self, tmp_path):
+        original = fm([[1.5, -2.0], [0.25, 4.0]])
+        for name, format in (("v.csv", "csv"), ("v.feat", "binary")):
+            write_features(original, tmp_path / name)
+            write_features(original, tmp_path / f"explicit_{name}", format)
+            assert (tmp_path / name).read_bytes() == (tmp_path / f"explicit_{name}").read_bytes()
+            loaded = load_features(tmp_path / name)
+            assert np.array_equal(loaded.data, original.data)
+            assert loaded.n_frames == original.n_frames
+
+    def test_unknown_format_rejected(self, tmp_path):
+        path = tmp_path / "v.feat"
+        with pytest.raises(ValueError, match="unknown feature format 'xml'"):
+            write_features(fm([[1.0, 2.0]]), path, "xml")
+        assert not path.exists()
+        write_features(fm([[1.0, 2.0]]), path)
+        with pytest.raises(ValueError, match="unknown feature format 'xml'"):
+            load_features(path, "xml")
+
     def test_explicit_format_overrides_extension(self, tmp_path):
         write_features(fm([[1.0, 2.0]]), tmp_path / "v.feat", "csv")
         with pytest.raises(FormatError, match="byte 0"):

@@ -2,8 +2,7 @@
 
 No linter runs with the tests, so an AST scan stands in for one check: an
 imported name must be referenced somewhere in its module (as a name or the
-root of an attribute chain) or be listed in ``__all__``.  Imports from
-``__future__`` are exempt.
+root of an attribute chain).  Imports from ``__future__`` are exempt.
 
 The package ``__init__`` imports no submodule, so nothing fixes the order
 in which they load.  Each one is imported alone in a fresh interpreter:
@@ -34,12 +33,7 @@ def imported_names(tree):
 
 
 def used_names(tree):
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used.update(elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
-    return used
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
 def unused_imports(path):
@@ -55,7 +49,7 @@ def test_no_unused_imports():
 
 def test_scan_sees_an_unused_import():
     source = ("from __future__ import annotations\nimport json, os.path\n"
-              "from x import y, z as w\n__all__ = ['y']\nos.sep\n")
+              "from x import y, z as w\ny()\nos.sep\n")
     tree = ast.parse(source)
     assert [name for _, name in imported_names(tree) if name not in used_names(tree)] == ["json", "w"]
 
