@@ -185,14 +185,14 @@ def cmd_train(args) -> int:
     cfg = TrainConfig(loss_params=LossParams(**loss), **settings)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = load_manifest(args.manifest, "train")
 
-    def snapshot_hook(iteration, snapshot_model):
+    def save(iteration, snapshot_model):
+        out_dir.mkdir(parents=True, exist_ok=True)  # so a refused run leaves no directory
         save_checkpoint(snapshot_model, out_dir / f"ckpt_{iteration}.json")
 
-    model, log = train(manifest, cfg, snapshot_hook=snapshot_hook)
-    save_checkpoint(model, out_dir / f"ckpt_{cfg.iterations}.json")
+    model, log = train(manifest, cfg, snapshot_hook=save)
+    save(cfg.iterations, model)
     write_lines(out_dir / "training_log.csv", csv_lines(LOG_HEADER, log.rows))
     if cfg.snapshot_every:
         write_lines(out_dir / "probe_scores.csv", csv_lines(PROBE_HEADER, log.probe_rows))
@@ -307,11 +307,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
     _add_setting_flags(p, BASELINE_FLAGS, BASELINE_CALLEES)
     p.set_defaults(func=cmd_baseline_train)
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
 def run(argv: list[str]) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # refused by the command's own parser, which prints that command's usage line
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
     except tuple(cls for cls, _ in EXIT_CODES) as e:

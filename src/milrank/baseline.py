@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import DataError, DimensionMismatchError, FormatError
-from .features import DEFAULT_SEGMENTS, DatasetManifest, FeatureMatrix, l2_normalize_rows, \
-    load_features, make_bag
+from .features import DEFAULT_SEGMENTS, DatasetManifest, FeatureMatrix, load_features, make_bag, \
+    normalized_means
 from .network import sigmoid
 from .validation import check_feature_array, json_number, json_numbers, read_json, write_json
 
@@ -40,7 +40,7 @@ class LinearModel:
 
 def video_feature(f: FeatureMatrix) -> np.ndarray:
     """Mean of all L2-normalized clip rows."""
-    return l2_normalize_rows(f.data).mean(axis=0)
+    return normalized_means(f.data, np.array([0]), np.array([f.n_clips]))[0]
 
 
 def fit_linear(X, y, c_reg: float = 1.0, epochs: int = 1000,

@@ -9,10 +9,10 @@ supported:
 * csv: header line ``n_clips,dim,n_frames``, then one clip per line with
   ``dim`` comma-separated decimal floats.
 
-Featurization (row normalization and segment means) maps float64 arrays
-to arrays.  ``make_bag`` keeps its float64 result, which scoring and
-evaluation use; ``load_bags`` rounds it once to float32, the dtype the
-trainer's layer-1 GEMMs run in.  Frame counts stay on the FeatureMatrix.
+A FeatureMatrix holds the stored float32 values (from a binary file, a
+read-only view of its bytes); ``normalized_means`` widens them exactly to
+float64 means, which ``make_bag`` keeps for scoring and evaluation and
+``load_bags`` rounds once to float32 for the trainer's layer-1 GEMMs.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class FeatureMatrix:
     """Per-video matrix of clip feature vectors plus the frame count."""
 
     video_id: str
-    data: np.ndarray  # (n_clips, dim) float64
+    data: np.ndarray  # (n_clips, dim): the stored float32, read-only when loaded from a binary file
     n_frames: int
 
     def __post_init__(self):
@@ -134,12 +134,11 @@ def _load_binary(path: Path) -> FeatureMatrix:
             f"payload size mismatch: header declares {n_clips}x{dim} ({expected} bytes total), file has {len(raw)}",
         )
     values = np.frombuffer(raw, dtype="<f4", offset=HEADER_SIZE)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        offset = HEADER_SIZE + 4 * int(bad[0])
+    finite = np.isfinite(values)
+    if not finite.all():
+        offset = HEADER_SIZE + 4 * int(finite.argmin())
         raise FormatError(path, f"byte {offset}", "non-finite feature value")
-    data = values.astype(np.float64).reshape(n_clips, dim)
-    return FeatureMatrix(video_id=path.stem, data=data, n_frames=n_frames)
+    return FeatureMatrix(video_id=path.stem, data=values.reshape(n_clips, dim), n_frames=n_frames)
 
 
 def _load_csv(path: Path) -> FeatureMatrix:
@@ -175,7 +174,7 @@ def _load_csv(path: Path) -> FeatureMatrix:
         rows.append(row32)
     if len(rows) != n_clips:
         raise FormatError(path, f"line {len(lines)}", f"header declares {n_clips} clips, file has {len(rows)}")
-    return FeatureMatrix(video_id=path.stem, data=np.array(rows).astype(np.float64), n_frames=n_frames)
+    return FeatureMatrix(video_id=path.stem, data=np.array(rows), n_frames=n_frames)
 
 
 def write_features(f: FeatureMatrix, path, format: str | None = None) -> None:
@@ -198,12 +197,6 @@ def write_features(f: FeatureMatrix, path, format: str | None = None) -> None:
                              for row in values)])
 
 
-def l2_normalize_rows(rows: np.ndarray) -> np.ndarray:
-    """Each row of a 2-D matrix scaled to unit Euclidean norm.  All-zero rows are kept."""
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    return rows / np.where(norms == 0.0, 1.0, norms)
-
-
 def segment_bounds(count: int, m: int) -> np.ndarray:
     """Boundary indices of the m-way proportional split of ``range(count)``.
 
@@ -217,29 +210,43 @@ def spread_over_frames(segment_values: np.ndarray, n_frames: int) -> np.ndarray:
     return np.repeat(segment_values, np.diff(segment_bounds(n_frames, len(segment_values))))
 
 
-def partition_segments(rows: np.ndarray, m: int) -> np.ndarray:
-    """Average clip rows into ``m`` contiguous temporal segments, an (m, dim) matrix.
-
-    Segment g averages the clips of group g of ``segment_bounds(n_clips, m)``.
-    A group is empty only when a video has fewer clips than segments, and
-    then every group holds at most one clip: an empty group [s, s) takes
-    clip s-1, the one of the nearest preceding non-empty group, and leading
-    empties take clip 0, so every bag has exactly ``m`` rows.
-    """
-    if m < 2:
-        raise ValueError(f"segment count must be at least 2, got {m}")
-    bounds = segment_bounds(rows.shape[0], m)
-    starts = np.minimum(bounds[:-1], np.maximum(bounds[1:] - 1, 0)).tolist()
-    ends = np.maximum(bounds[1:], 1).tolist()
-    segments = np.empty((m, rows.shape[1]), dtype=np.float64)
-    for g, (lo, hi) in enumerate(zip(starts, ends)):
-        segments[g] = rows[lo:hi].mean(axis=0)
-    return segments
+def normalized_means(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """(groups, dim) float64 means of the L2-normalized rows ``data[starts[g]:ends[g]]``;
+    all-zero rows stay zero.  Bit-equal to widening every row to float64,
+    normalizing with ``np.linalg.norm`` and taking each group's ``mean``, but
+    with no full-size float64 copy: the row norms, then each group's
+    normalized rows, are summed in one small scratch."""
+    n, dim = data.shape
+    counts = ends - starts
+    block = max(1, (1 << 16) // dim)  # rows per block of norms, 512 KB of float64
+    scratch = np.empty(max(min(n, block), int(counts.max())) * dim)
+    norms = np.empty(n)
+    for lo in range(0, n, block):
+        wide = scratch[:min(block, n - lo) * dim].reshape(-1, dim)
+        np.copyto(wide, data[lo:lo + block])
+        np.add.reduce(np.multiply(wide, wide, out=wide), axis=1, out=norms[lo:lo + len(wide)])
+    np.sqrt(norms, out=norms)
+    norms[norms == 0.0] = 1.0
+    if counts.max() == 1:  # no group averages: a one-row mean is the row itself
+        return data[starts] / norms[starts, None]
+    means = np.empty((len(starts), dim))
+    for g, (lo, hi) in enumerate(zip(starts.tolist(), ends.tolist())):
+        wide = scratch[:(hi - lo) * dim].reshape(-1, dim)
+        np.add.reduce(np.divide(data[lo:hi], norms[lo:hi, None], out=wide), axis=0, out=means[g])
+    return np.divide(means, counts[:, None], out=means)
 
 
 def make_bag(f: FeatureMatrix, label: int, m: int = DEFAULT_SEGMENTS) -> Bag:
-    """Normalize, segment, and label a video's features."""
-    return Bag(f.video_id, label, partition_segments(l2_normalize_rows(f.data), m))
+    """Normalize, segment, and label a video's features: segment g averages
+    group g of ``segment_bounds(n_clips, m)``.  With fewer clips than
+    segments, every group holds at most one clip, and an empty group [s, s)
+    takes clip s-1 (leading empties clip 0), so a bag always has ``m`` rows.
+    """
+    if m < 2:
+        raise ValueError(f"segment count must be at least 2, got {m}")
+    bounds = segment_bounds(f.n_clips, m)
+    starts = np.minimum(bounds[:-1], np.maximum(bounds[1:] - 1, 0))
+    return Bag(f.video_id, label, normalized_means(f.data, starts, np.maximum(bounds[1:], 1)))
 
 
 def load_manifest(path, split: str) -> DatasetManifest:

@@ -173,8 +173,8 @@ def forward(model: MlpModel, segments) -> np.ndarray:
                               None, None)[0]
 
 
-def forward_with_masks(model: MlpModel, X: np.ndarray,
-                       mask1: np.ndarray | None, mask2: np.ndarray | None) -> tuple[np.ndarray, ForwardTrace]:
+def forward_with_masks(model: MlpModel, X: np.ndarray, mask1: np.ndarray | None, mask2: np.ndarray | None,
+                       reuse: ForwardTrace | None = None) -> tuple[np.ndarray, ForwardTrace]:
     """Forward pass with caller-supplied masks (None disables a dropout site).
 
     The trainer uses this to run one stacked pass over a whole batch with
@@ -182,17 +182,22 @@ def forward_with_masks(model: MlpModel, X: np.ndarray,
     site applies relu, mask and 1/keep scaling as one multiply by its gate.
     Layer 1 multiplies in the dtype of ``X``, with ``w1`` cast to it; its
     product, and so every later activation, is float64 from then on.  Both
-    casts are no-ops for float64 input.
+    casts are no-ops for float64 input.  ``reuse``, a trace the caller no
+    longer needs (the trainer's previous step), lends its ``h1`` and
+    ``gate1`` arrays when their shapes match: this pass writes its values
+    into them, with the same bytes as fresh ones.
     """
     keep = 1.0 - model.dropout_rate
-    z1 = (X @ model.w1.astype(X.dtype, copy=False).T).astype(np.float64, copy=False)
-    z1 += model.b1
+    lent = reuse is not None and reuse.h1.shape == (X.shape[0], model.hidden1)
+    h1 = np.add(X @ model.w1.astype(X.dtype, copy=False).T, model.b1, out=reuse.h1 if lent else None)
     gate1 = gate2 = None
     if mask1 is None:
-        h1 = np.maximum(z1, 0.0)
+        np.maximum(h1, 0.0, out=h1)
     else:
-        gate1 = ((z1 > 0.0) & mask1) * (1.0 / keep)
-        h1 = z1 * gate1
+        kept = h1 > 0.0
+        kept &= mask1
+        gate1 = np.multiply(kept, 1.0 / keep, out=reuse.gate1 if lent else None)
+        h1 *= gate1
     h2 = h1 @ model.w2.T
     h2 += model.b2
     if mask2 is not None:

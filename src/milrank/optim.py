@@ -195,6 +195,7 @@ def train_on_bags(pos_bags: list[Bag], neg_bags: list[Bag], cfg: TrainConfig,
     m = cfg.segments_per_bag
     log = TrainingLog()
     X = np.empty((2 * P * m, dim), dtype)  # every batch is stacked into this one buffer
+    trace = None  # each step's forward writes its activations into the previous step's arrays
 
     for it in range(1, cfg.iterations + 1):
         pos_idx, neg_idx = sample_pair_indices(len(pos_bags), len(neg_bags), cfg, it)
@@ -204,7 +205,7 @@ def train_on_bags(pos_bags: list[Bag], neg_bags: list[Bag], cfg: TrainConfig,
         mask1 = mask2 = None
         if cfg.dropout_rate > 0.0:
             mask1, mask2 = dropout_masks(model, 2 * P * m, dropout_seed(cfg.seed, it))
-        scores, trace = forward_with_masks(model, X, mask1, mask2)
+        scores, trace = forward_with_masks(model, X, mask1, mask2, trace)
         if not np.isfinite(scores).all():
             raise NonFiniteLossError(f"non-finite scores at iteration {it}")
         S = scores.reshape(2 * P, m)

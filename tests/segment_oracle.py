@@ -1,6 +1,7 @@
-"""Reference segment split: the earlier fill-forward partition and range-loop
-score expansion, kept as oracles for ``features.partition_segments`` and
-``features.spread_over_frames``.  Boundaries are written out here rather
+"""Reference featurization and segment split: a float64 row normalization,
+the earlier fill-forward partition and range-loop score expansion, kept as
+oracles for ``features.make_bag`` (``bag_segments``), ``baseline.video_feature``
+and ``features.spread_over_frames``.  Boundaries are written out here rather
 than taken from ``segment_bounds``, so the oracle shares no code with the
 functions it checks."""
 
@@ -9,6 +10,18 @@ import numpy as np
 
 def bounds(count, m):
     return [(g * count) // m for g in range(m + 1)]
+
+
+def l2_normalize_rows(rows):
+    """Each row widened to float64 and scaled to unit Euclidean norm; all-zero rows are kept."""
+    rows = np.asarray(rows, dtype=np.float64)
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    return rows / np.where(norms == 0.0, 1.0, norms)
+
+
+def bag_segments(data, m):
+    """The (m, dim) float64 segments of a bag: normalized rows, then the fill-forward partition."""
+    return partition_segments(l2_normalize_rows(data), data.shape[0], m)[0]
 
 
 def partition_segments(data, n_frames, m):

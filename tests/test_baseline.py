@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import segment_oracle
 from milrank.baseline import (
     LinearModel,
     fit_linear,
@@ -104,11 +105,10 @@ class TestScoreLinear:
         assert np.array_equal(score_linear(model, f, 4), score_linear(model, f, 4))
 
     def test_matches_manual_dot_product(self):
-        from milrank.features import l2_normalize_rows, partition_segments
         model = LinearModel(w=np.array([0.5, -0.25, 1.0]), b=0.1, c_reg=1.0)
         f = FeatureMatrix("v", np.random.default_rng(5).standard_normal((6, 3)), 96)
         scores = score_linear(model, f, 4)
-        segments = partition_segments(l2_normalize_rows(f.data), 4)
+        segments = segment_oracle.bag_segments(f.data, 4)
         for g in range(4):
             margin = sum(model.w[j] * segments[g, j] for j in range(3)) - model.b
             assert abs(scores[g] - 1.0 / (1.0 + np.exp(-margin))) < 1e-12

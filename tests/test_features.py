@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,15 +7,15 @@ import pytest
 from milrank.exceptions import DataError, FormatError
 from milrank.features import (
     FeatureMatrix,
-    l2_normalize_rows,
     load_features,
     load_manifest,
     make_bag,
-    partition_segments,
+    normalized_means,
     segment_bounds,
     spread_over_frames,
     write_features,
 )
+from segment_oracle import l2_normalize_rows
 
 
 def fm(data, n_frames=None, video_id="vid"):
@@ -161,18 +162,24 @@ class TestWriteFeatures:
             assert load_features(tmp_path / format, format).data.tolist() == [[top, -top]]
 
 
+def normalized_rows(data):
+    """``normalized_means`` with one group per row: the rows themselves, normalized."""
+    return normalized_means(data, np.arange(len(data)), np.arange(1, len(data) + 1))
+
+
 class TestNormalize:
     def test_three_four_five(self):
-        out = l2_normalize_rows(np.array([[3.0, 4.0]]))
+        out = normalized_rows(np.array([[3.0, 4.0]]))
         assert np.allclose(out, [[0.6, 0.8]], atol=1e-15)
 
     def test_zero_row_unchanged(self):
-        out = l2_normalize_rows(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        out = normalized_rows(np.array([[0.0, 0.0], [1.0, 0.0]]))
         assert np.array_equal(out[0], [0.0, 0.0])
 
     def test_random_matrix_unit_norms(self):
         rng = np.random.default_rng(42)
-        out = l2_normalize_rows(rng.standard_normal((5, 4096)))
+        out = normalized_rows(rng.standard_normal((5, 4096)).astype(np.float32))
+        assert out.dtype == np.float64
         # independent norm computation with compensated summation
         for row in out:
             norm = math.sqrt(math.fsum(float(v) * float(v) for v in row))
@@ -183,33 +190,35 @@ class TestPartition:
     def test_even_division_averages_pairs(self):
         rng = np.random.default_rng(1)
         f = fm(rng.standard_normal((64, 3)))
-        segments = partition_segments(f.data, 32)
+        segments = make_bag(f, 0, 32).segments
+        rows = l2_normalize_rows(f.data)
         for g in range(32):
-            assert np.allclose(segments[g], f.data[2 * g:2 * g + 2].mean(axis=0))
+            assert np.allclose(segments[g], rows[2 * g:2 * g + 2].mean(axis=0))
         painted = spread_over_frames(np.arange(32), f.n_frames)
         assert np.flatnonzero(painted == 0).tolist() == list(range(32))
         assert np.flatnonzero(painted == 31).tolist() == list(range(992, 1024))
 
     def test_single_clip_inherited_everywhere(self):
         f = fm(np.array([[1.0, 2.0, 3.0]]))
-        segments = partition_segments(f.data, 32)
+        segments = make_bag(f, 0, 32).segments
         assert segments.shape == (32, 3)
-        assert np.array_equal(segments, np.tile(f.data[0], (32, 1)))
+        assert np.array_equal(segments, np.tile(l2_normalize_rows(f.data)[0], (32, 1)))
 
     def test_33_clips_brute_force_oracle(self):
         rng = np.random.default_rng(2)
         f = fm(rng.standard_normal((33, 4)))
-        segments = partition_segments(f.data, 32)
+        segments = make_bag(f, 0, 32).segments
+        rows = l2_normalize_rows(f.data)
         bounds = [(33 * g) // 32 for g in range(33)]
         sizes = [bounds[g + 1] - bounds[g] for g in range(32)]
         assert sizes == [1] * 31 + [2]
         for g in range(32):
-            group = f.data[bounds[g]:bounds[g + 1]]
+            group = rows[bounds[g]:bounds[g + 1]]
             assert np.allclose(segments[g], group.mean(axis=0), atol=1e-15)
 
     def test_m_below_two_rejected(self):
         with pytest.raises(ValueError):
-            partition_segments(np.ones((1, 1)), 1)
+            make_bag(fm(np.ones((1, 1))), 0, 1)
 
     def test_partition_properties_random(self):
         rng = np.random.default_rng(7)
@@ -218,7 +227,8 @@ class TestPartition:
             m = int(rng.integers(2, 40))
             n_frames = int(rng.integers(1, 2000))
             f = fm(rng.standard_normal((n_clips, 3)), n_frames=n_frames)
-            segments = partition_segments(f.data, m)
+            segments = make_bag(f, 0, m).segments
+            rows = l2_normalize_rows(f.data)
             bounds = segment_bounds(n_clips, m)
             assert np.all(np.diff(bounds) >= 0)
             assert bounds[0] == 0 and bounds[-1] == n_clips
@@ -226,7 +236,7 @@ class TestPartition:
             for g in range(m):
                 lo, hi = int(bounds[g]), int(bounds[g + 1])
                 if hi > lo:
-                    group = f.data[lo:hi]
+                    group = rows[lo:hi]
                     assert np.all(segments[g] >= group.min(axis=0) - 1e-12)
                     assert np.all(segments[g] <= group.max(axis=0) + 1e-12)
             # the painted frames cover [0, n_frames) in segment order
@@ -247,6 +257,30 @@ class TestMakeBag:
     def test_bad_label_rejected(self):
         with pytest.raises(ValueError):
             make_bag(fm(np.ones((4, 3))), 2, m=4)
+
+    def test_loaded_values_stay_float32(self, tmp_path):
+        data = np.random.default_rng(3).standard_normal((5, 4)).astype(np.float32)
+        for name in ("v.feat", "v.csv"):
+            write_features(fm(data), tmp_path / name)
+            loaded = load_features(tmp_path / name).data
+            assert loaded.dtype == np.float32 and loaded.tobytes() == data.tobytes()
+        assert not load_features(tmp_path / "v.feat").data.flags.writeable
+
+    def test_allocation_budget_at_paper_scale(self, tmp_path):
+        """Loading and featurizing a 600-clip, dim-4096 video allocates at
+        most half its float32 payload beyond the payload itself: no float64
+        copy of the clips is made.  Counted by tracemalloc, with no timing."""
+        n_clips, dim = 600, 4096
+        data = np.random.default_rng(4).standard_normal((n_clips, dim)).astype(np.float32)
+        write_features(FeatureMatrix("v", data, 16 * n_clips), tmp_path / "v.feat")
+        del data
+        tracemalloc.start()
+        try:
+            make_bag(load_features(tmp_path / "v.feat"), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 4 * n_clips * dim
 
 
 class TestManifest:

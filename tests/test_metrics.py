@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 import milrank.metrics
+import segment_oracle
 from milrank.exceptions import DataError, DimensionMismatchError, FormatError, MetricError
 from milrank.features import (
     FeatureMatrix,
-    l2_normalize_rows,
     load_features,
     load_manifest,
-    partition_segments,
     segment_bounds,
     write_features,
 )
@@ -217,7 +216,7 @@ class TestScoreVideo:
         model = init_model(3, seed=9, hidden1=4, hidden2=2)
         f = FeatureMatrix("v", np.random.default_rng(9).standard_normal((6, 3)), 96)
         scores, tl = score_video(model, f, 4)
-        segments = partition_segments(l2_normalize_rows(f.data), 4)
+        segments = segment_oracle.bag_segments(f.data, 4)
         manual = forward(model, segments)
         assert np.array_equal(scores, manual)
         assert np.array_equal(tl.frame_scores, expand_scores(f, manual, 4).frame_scores)

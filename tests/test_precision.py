@@ -131,9 +131,9 @@ def test_training_state_stays_float64(monkeypatch):
     steps = []
     real_forward, real_step = optim_module.forward_with_masks, optim_module.adagrad_step
 
-    def recording_forward(model, X, mask1, mask2):
+    def recording_forward(model, X, *rest):
         batch_dtypes.append(X.dtype)
-        return real_forward(model, X, mask1, mask2)
+        return real_forward(model, X, *rest)
 
     def recording_step(model, grads, state):
         stepped, new_state = real_step(model, grads, state)
