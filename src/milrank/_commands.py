@@ -189,7 +189,7 @@ def cmd_train(args) -> int:
 
     def save(iteration, snapshot_model):
         out_dir.mkdir(parents=True, exist_ok=True)  # so a refused run leaves no directory
-        save_checkpoint(snapshot_model, out_dir / f"ckpt_{iteration}.json")
+        save_checkpoint(snapshot_model, out_dir / f"ckpt_{iteration}.bin")
 
     model, log = train(manifest, cfg, snapshot_hook=save)
     save(cfg.iterations, model)

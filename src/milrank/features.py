@@ -168,7 +168,8 @@ def _load_csv(path: Path) -> FeatureMatrix:
         if not all(np.isfinite(row)):
             raise FormatError(path, f"line {lineno}", "non-finite feature value")
         # storage is 32-bit for both formats; overflow past float32 is an error
-        row32 = np.array(row, dtype=np.float32)
+        with np.errstate(over="ignore"):
+            row32 = np.array(row, dtype=np.float32)
         if not np.isfinite(row32).all():
             raise FormatError(path, f"line {lineno}", "value overflows 32-bit storage")
         rows.append(row32)

@@ -24,8 +24,8 @@ every platform.
 
 from __future__ import annotations
 
-import base64
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -36,7 +36,7 @@ from .rng import STREAM_DROPOUT, STREAM_INIT, derive_rng
 from .validation import check_feature_array, json_number, read_json, write_json
 
 PARAM_FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 # the paper's network: 512-32-1 with 60% dropout
 DEFAULT_HIDDEN1 = 512
 DEFAULT_HIDDEN2 = 32
@@ -252,72 +252,65 @@ def backward(model: MlpModel, trace: ForwardTrace, dloss_dscores) -> dict[str, n
 
 
 def save_checkpoint(model: MlpModel, path) -> None:
-    """Write the model as one line of JSON, checkpoint version 2.
+    """Write the model as checkpoint version 3: a header line, then the weights.
 
-    The header holds ``version`` (2), ``dim``, ``widths`` ([hidden1,
-    hidden2]) and ``dropout_rate``.  ``params`` maps each of w1, b1, w2, b2,
-    w3 and b3 to one base64 string of that parameter's little-endian
-    float64 bytes in row-major order, so every weight round-trips bit for
-    bit.  The shapes follow from the header and are not stored.
+    The header is one line of JSON holding ``version`` (3), ``dim``,
+    ``widths`` ([hidden1, hidden2]) and ``dropout_rate``.  The little-endian
+    float64 bytes of w1, b1, w2, b2, w3 and b3 follow it, each in row-major
+    order, so every weight round-trips bit for bit.  The shapes follow from
+    the header and are not stored.
     """
-    doc = {
-        "version": CHECKPOINT_VERSION,
-        "dim": model.dim,
-        "widths": [model.hidden1, model.hidden2],
-        "dropout_rate": model.dropout_rate,
-        "params": {name: base64.b64encode(arr.astype("<f8", copy=False).tobytes()).decode("ascii")
-                   for name, arr in model.params().items()},
-    }
-    write_json(path, doc)
+    write_json(path, {"version": CHECKPOINT_VERSION, "dim": model.dim,
+                      "widths": [model.hidden1, model.hidden2], "dropout_rate": model.dropout_rate})
+    with open(path, "ab") as f:
+        for arr in model.params().values():
+            f.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def load_checkpoint(path) -> MlpModel:
     """Read a checkpoint that ``save_checkpoint`` wrote.
 
     Header fields must be JSON numbers (integers for ``version``, ``dim``
-    and ``widths``), and only version 2 is read.  Each parameter must be
-    strict base64 (no character outside the alphabet, no whitespace, exact
-    padding) of exactly ``8 * prod(shape)`` bytes for the shape the header
-    implies, and every value must be finite.  Anything else raises
-    FormatError.
+    and ``widths``), and only version 3 is read.  Exactly ``8 * n`` bytes
+    must follow the header line, for the ``n`` values of the shapes the
+    header implies, and every value must be finite.  Anything else raises
+    FormatError.  The six parameters are views of one float64 array, read
+    straight from the file.
     """
     path = Path(path)
-    doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise FormatError(path, "document", "expected a JSON object")
-    version = doc.get("version")
-    try:
-        supported = json_number(version, integer=True) == CHECKPOINT_VERSION
-    except TypeError:
-        supported = False
-    if not supported:
-        raise FormatError(path, "field 'version'",
-                          f"unsupported version {version!r}, expected {CHECKPOINT_VERSION}")
-    try:
-        dim = json_number(doc["dim"], integer=True)
-        h1, h2 = (json_number(w, integer=True) for w in doc["widths"])
-        dropout_rate = float(json_number(doc["dropout_rate"]))
-        params = doc["params"]
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise FormatError(path, "header", f"missing or malformed field: {e}") from None
-    if min(dim, h1, h2) < 0:
-        raise FormatError(path, "header", "negative layer width")
-    if not isinstance(params, dict):
-        raise FormatError(path, "field 'params'", "expected a JSON object")
-    shapes = {"w1": (h1, dim), "b1": (h1,), "w2": (h2, h1), "b2": (h2,), "w3": (1, h2), "b3": (1,)}
-    arrays = {}
-    for name, shape in shapes.items():
-        want = 8 * math.prod(shape)
+    with open(path, "rb") as f:
+        line = f.readline()
+        header = read_json(path, line)
+        if not isinstance(header, dict):
+            raise FormatError(path, "header", "expected a JSON object")
+        version = header.get("version")
         try:
-            raw = base64.b64decode(params.get(name), validate=True)
-        except (TypeError, ValueError) as e:  # binascii.Error is a ValueError
-            raise FormatError(path, f"field 'params.{name}'", f"expected base64 text: {e}") from None
-        if len(raw) != want:
-            raise FormatError(path, f"field 'params.{name}'",
-                              f"expected {want} bytes of float64, got {len(raw)}")
-        arrays[name] = np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
+            supported = json_number(version, integer=True) == CHECKPOINT_VERSION
+        except TypeError:
+            supported = False
+        if not supported:
+            raise FormatError(path, "field 'version'",
+                              f"unsupported version {version!r}, expected {CHECKPOINT_VERSION}")
+        try:
+            dim = json_number(header["dim"], integer=True)
+            h1, h2 = (json_number(w, integer=True) for w in header["widths"])
+            dropout_rate = float(json_number(header["dropout_rate"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            raise FormatError(path, "header", f"missing or malformed field: {e}") from None
+        if min(dim, h1, h2) < 0:
+            raise FormatError(path, "header", "negative layer width")
+        shapes = {"w1": (h1, dim), "b1": (h1,), "w2": (h2, h1), "b2": (h2,), "w3": (1, h2), "b3": (1,)}
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        n = sum(sizes)
+        got = os.fstat(f.fileno()).st_size - len(line)
+        if got != 8 * n:
+            raise FormatError(path, f"byte {len(line)}",
+                              f"expected {8 * n} bytes of float64 after the header, got {got}")
+        flat = np.fromfile(f, "<f8", count=n).astype(np.float64, copy=False)
+    views = np.split(flat, np.cumsum(sizes)[:-1])
     try:
-        return MlpModel(dropout_rate=dropout_rate, **arrays)
+        return MlpModel(dropout_rate=dropout_rate,
+                        **{name: view.reshape(shapes[name]) for name, view in zip(shapes, views)})
     except ValueError as e:
         raise FormatError(path, "params", str(e)) from None
 

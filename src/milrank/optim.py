@@ -198,29 +198,31 @@ def train_on_bags(pos_bags: list[Bag], neg_bags: list[Bag], cfg: TrainConfig,
     trace = None  # each step's forward writes its activations into the previous step's arrays
 
     for it in range(1, cfg.iterations + 1):
-        pos_idx, neg_idx = sample_pair_indices(len(pos_bags), len(neg_bags), cfg, it)
-        np.concatenate([pos_bags[i].segments for i in pos_idx]
-                       + [neg_bags[j].segments for j in neg_idx], out=X)
+        # a diverging step overflows to inf or nan; the score and loss checks report it
+        with np.errstate(over="ignore", invalid="ignore"):
+            pos_idx, neg_idx = sample_pair_indices(len(pos_bags), len(neg_bags), cfg, it)
+            np.concatenate([pos_bags[i].segments for i in pos_idx]
+                           + [neg_bags[j].segments for j in neg_idx], out=X)
 
-        mask1 = mask2 = None
-        if cfg.dropout_rate > 0.0:
-            mask1, mask2 = dropout_masks(model, 2 * P * m, dropout_seed(cfg.seed, it))
-        scores, trace = forward_with_masks(model, X, mask1, mask2, trace)
-        if not np.isfinite(scores).all():
-            raise NonFiniteLossError(f"non-finite scores at iteration {it}")
-        S = scores.reshape(2 * P, m)
+            mask1 = mask2 = None
+            if cfg.dropout_rate > 0.0:
+                mask1, mask2 = dropout_masks(model, 2 * P * m, dropout_seed(cfg.seed, it))
+            scores, trace = forward_with_masks(model, X, mask1, mask2, trace)
+            if not np.isfinite(scores).all():
+                raise NonFiniteLossError(f"non-finite scores at iteration {it}")
+            S = scores.reshape(2 * P, m)
 
-        terms = ranking_loss_and_grad(S[:P], S[P:], lp)
-        reg = weight_decay_term(model, lp)
-        loss_value = terms.totals.sum() / P + reg
-        if not np.isfinite(loss_value):
-            raise NonFiniteLossError(f"non-finite loss at iteration {it}")
+            terms = ranking_loss_and_grad(S[:P], S[P:], lp)
+            reg = weight_decay_term(model, lp)
+            loss_value = terms.totals.sum() / P + reg
+            if not np.isfinite(loss_value):
+                raise NonFiniteLossError(f"non-finite loss at iteration {it}")
 
-        dscores = np.concatenate((terms.grad_pos, terms.grad_neg)).ravel() / P
-        grads = backward(model, trace, dscores)
-        for name, extra in weight_decay_grads(model, lp).items():
-            grads[name] += extra
-        model, state = adagrad_step(model, grads, state)
+            dscores = np.concatenate((terms.grad_pos, terms.grad_neg)).ravel() / P
+            grads = backward(model, trace, dscores)
+            for name, extra in weight_decay_grads(model, lp).items():
+                grads[name] += extra
+            model, state = adagrad_step(model, grads, state)
 
         log.rows.append((
             it,

@@ -1,6 +1,8 @@
 """Input validation helpers, and the one reader and writer of text files:
 every parser starts from ``read_text``/``read_json``, and every text output
-goes through ``write_lines``/``write_json``, its CSV rows through ``csv_lines``."""
+goes through ``write_lines``/``write_json``, its CSV rows through ``csv_lines``.
+A checkpoint's header line is JSON too, written by ``write_json`` and read by
+``read_json`` from the line's bytes; its float64 payload is not text."""
 
 from __future__ import annotations
 
@@ -12,19 +14,21 @@ import numpy as np
 from .exceptions import DimensionMismatchError, FormatError
 
 
-def read_text(path) -> str:
-    """A text file's contents; bytes that are not UTF-8 raise FormatError."""
+def read_text(path, data: bytes | None = None) -> str:
+    """A text file's contents, or ``data`` (bytes read from it, such as its
+    first line) as text; bytes that are not UTF-8 raise FormatError."""
     path = Path(path)
     try:
-        return path.read_bytes().decode("utf-8")
+        return (path.read_bytes() if data is None else data).decode("utf-8")
     except UnicodeDecodeError as e:
         raise FormatError(path, f"byte {e.start}", "not UTF-8 text") from None
 
 
-def read_json(path):
-    """A JSON document from a UTF-8 text file; text that does not decode (bad
-    syntax, nesting too deep, an integer too long) raises FormatError."""
-    text = read_text(path)
+def read_json(path, data: bytes | None = None):
+    """A JSON document from a UTF-8 text file, or from ``data`` read from it;
+    text that does not decode (bad syntax, nesting too deep, an integer too
+    long) raises FormatError."""
+    text = read_text(path, data)
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
@@ -38,9 +42,7 @@ def write_lines(path, lines) -> None:
 
 def write_json(path, doc) -> None:
     """Write ``doc`` as one line of JSON, which ``read_json`` reads back."""
-    # not through write_lines, which would hold one more copy of the text:
-    # a paper-scale checkpoint is 23 MB of it
-    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    write_lines(path, [json.dumps(doc)])
 
 
 def csv_lines(header: str, rows) -> list[str]:

@@ -323,11 +323,11 @@ def test_c12_format_round_trips(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
     model = init_model(16, seed=12, hidden1=8, hidden2=4, dropout_rate=0.6)
-    c1, c2 = tmp_path / "m1.json", tmp_path / "m2.json"
+    c1, c2 = tmp_path / "m1.bin", tmp_path / "m2.bin"
     save_checkpoint(model, c1)
     loaded = load_checkpoint(c1)
     for name, arr in model.params().items():
         assert np.array_equal(arr, getattr(loaded, name))
     save_checkpoint(loaded, c2)
     assert c1.read_bytes() == c2.read_bytes()
-    report(12, "binary features and JSON checkpoints round-trip exactly")
+    report(12, "binary features and checkpoints round-trip exactly")

@@ -50,21 +50,71 @@ def zero_checkpoint(path, dim=8, h1=4, h2=2):
     return model
 
 
+def mlp_header(**changes) -> bytes:
+    """The header line of a valid dim-8, widths-[4, 2] checkpoint, with the
+    named fields replaced."""
+    doc = {"version": 3, "dim": 8, "widths": [4, 2], "dropout_rate": 0.6, **changes}
+    return (json.dumps(doc) + "\n").encode()
+
+
+def mlp_payload(**params) -> bytes:
+    """That checkpoint's payload of zero weights, with the named parameters'
+    values replaced."""
+    values = {"w1": [0.0] * 32, "b1": [0.0] * 4, "w2": [0.0] * 8, "b2": [0.0] * 2,
+              "w3": [0.0] * 2, "b3": [0.0], **params}
+    return b"".join(np.asarray(v, dtype="<f8").tobytes() for v in values.values())
+
+
+PAYLOAD = mlp_payload()
+
+
 def b64(values):
     """``values`` as a version-2 checkpoint parameter: base64 of their
     little-endian float64 bytes."""
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
-def mlp_doc(**changes):
-    """A valid dim-8, widths-[4, 2] checkpoint document, with the named header
-    fields or parameter texts replaced."""
-    params = {"w1": b64([0.0] * 32), "b1": b64([0.0] * 4), "w2": b64([0.0] * 8),
-              "b2": b64([0.0] * 2), "w3": b64([0.0] * 2), "b3": b64([0.0])}
-    doc = {"version": 2, "dim": 8, "widths": [4, 2], "dropout_rate": 0.6, "params": params}
-    for name, value in changes.items():
-        (params if name in params else doc)[name] = value
-    return doc
+MALFORMED_CHECKPOINTS = [
+    # the header line: one JSON object of JSON numbers, in UTF-8
+    b"[1, 2, 3]\n" + PAYLOAD,
+    b"null\n" + PAYLOAD,
+    b"ok\n" + PAYLOAD,
+    # strings and booleans are not numbers, though int()/float() would convert them
+    mlp_header(dim="8") + PAYLOAD,
+    mlp_header(widths="42") + PAYLOAD,
+    mlp_header(dropout_rate=False) + PAYLOAD,
+    mlp_header(dim=8.0) + PAYLOAD,
+    mlp_header(widths=[4]) + PAYLOAD,
+    mlp_header(version=True) + PAYLOAD,
+    mlp_header(version=1.0) + PAYLOAD,
+    mlp_header(version="3") + PAYLOAD,
+    mlp_header(version=4) + PAYLOAD,
+    b'{"version": 3, "dim": 8, "widths": [4, 2]}\n' + PAYLOAD,
+    b'{"version": 3, "\xff": 0, "dim": 8, "widths": [4, 2], "dropout_rate": 0.6}\n' + PAYLOAD,
+    # a header the model refuses
+    mlp_header(dim=1, widths=[1, 1], dropout_rate=1.5) + bytes(8 * 6),
+    mlp_header(widths=[0, 1]) + bytes(8 * 3),
+    # a w1 whose element count, 2**64, wraps to 0 in int64 arithmetic
+    mlp_header(dim=2**32, widths=[2**32, 1]),
+    # after the header's newline, exactly 8 bytes for each of the shapes' values: none,
+    # no newline, a byte or a float short or long, trailing bytes, float32 values
+    b"",
+    mlp_header(),
+    mlp_header().rstrip(b"\n"),
+    mlp_header().rstrip(b"\n") + PAYLOAD,
+    mlp_header() + PAYLOAD[:-1],
+    mlp_header() + PAYLOAD + b"\0",
+    mlp_header() + mlp_payload(w1=[0.0] * 31),
+    mlp_header() + mlp_payload(w1=[0.0] * 33),
+    mlp_header() + PAYLOAD + b"trailing\n",
+    mlp_header() + PAYLOAD + PAYLOAD,
+    mlp_header() + np.zeros(49, dtype="<f4").tobytes(),
+    # every value finite: a quiet and a signalling NaN, +inf and -inf
+    mlp_header() + mlp_payload(b3=[float("nan")]),
+    mlp_header() + b"\x01\0\0\0\0\0\xf0\x7f" + PAYLOAD[8:],
+    mlp_header() + mlp_payload(w2=[0.0] * 7 + [float("inf")]),
+    mlp_header() + mlp_payload(w3=[0.0, float("-inf")]),
+]
 
 
 @pytest.fixture
@@ -129,7 +179,7 @@ class TestIngestCheckTestSplit:
         (dataset / "ann_case.txt").write_text(annotation_text)
         manifest = dataset / "case.txt"
         manifest.write_text(manifest_text)
-        ckpt = tmp_path / "zero.json"
+        ckpt = tmp_path / "zero.bin"
         zero_checkpoint(ckpt)
         check = main(["ingest-check", "--manifest", str(manifest), "--split", "test"])
         evaluated = main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest),
@@ -183,7 +233,7 @@ class TestIngestCheckTestSplit:
                             "features/neg003.feat 0 annotations.txt\n"
                             "features/pos003.feat 1 annotations.txt\n")
         # dim-5 models: scoring any dim-8 video would exit 5, so exit 2 means none was scored
-        ckpt = tmp_path / "dim5.json"
+        ckpt = tmp_path / "dim5.bin"
         zero_checkpoint(ckpt, dim=5)
         linear = tmp_path / "dim5_linear.json"
         linear.write_text(json.dumps({"w": [0.0] * 5, "b": 0.0, "c_reg": 1.0}))
@@ -303,7 +353,7 @@ class TestDefaultsFromConfig:
         flags = [token for key, value in settings.items() for token in (f"--{key}", value)]
         assert main([*train, str(tmp_path / "by_flags"), *flags]) == 0
         assert tree_digest(tmp_path / "by_config") == tree_digest(tmp_path / "by_flags")
-        model = load_checkpoint(tmp_path / "by_config" / "ckpt_3.json")
+        model = load_checkpoint(tmp_path / "by_config" / "ckpt_3.bin")
         assert model.w1.shape == (4, 8) and model.w2.shape == (2, 4)
 
     @pytest.mark.parametrize("argv, key", [
@@ -326,7 +376,7 @@ class TestDefaultsFromConfig:
         # these commands have no setting a config file could hold, so they do not take one
         cfg = tmp_path / "run.cfg"
         cfg.write_text("threshold=0.9\nbogus=1\n")
-        ckpt = tmp_path / "zero.json"
+        ckpt = tmp_path / "zero.bin"
         zero_checkpoint(ckpt)
         linear = tmp_path / "linear.json"
         linear.write_text(json.dumps({"w": [0.0] * 8, "b": 0.0, "c_reg": 1.0}))
@@ -359,7 +409,7 @@ class TestTrain:
                      "--hidden2", "4"])
         assert code == 0
         assert "final loss" in capsys.readouterr().out
-        assert (run / "ckpt_12.json").is_file()
+        assert (run / "ckpt_12.bin").is_file()
         log_lines = (run / "training_log.csv").read_text().splitlines()
         assert len(log_lines) == 13  # header + 12 rows
 
@@ -379,20 +429,31 @@ class TestTrain:
                      "--batch", "3", "--segments", "8", "--hidden1", "16",
                      "--hidden2", "4", "--snapshot-every", "3"])
         assert code == 0
-        assert (run / "ckpt_3.json").is_file()
-        assert (run / "ckpt_6.json").is_file()
+        assert (run / "ckpt_3.bin").is_file()
+        assert (run / "ckpt_6.bin").is_file()
         probe = (run / "probe_scores.csv").read_text().splitlines()
         assert probe[0] == "iteration,segment_index,score"
         assert len(probe) == 1 + 2 * 8
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
+    DIVERGING = ["--iters", "5", "--lr", "1e308", "--batch", "3", "--segments", "8",
+                 "--hidden1", "16", "--hidden2", "4"]
+
     def test_diverging_run_is_non_finite_loss(self, dataset, tmp_path, capsys):
         code = main(["train", "--manifest", str(dataset / "manifest.txt"),
-                     "--out", str(tmp_path / "run"), "--iters", "5", "--lr", "1e308",
-                     "--batch", "3", "--segments", "8", "--hidden1", "16", "--hidden2", "4"])
+                     "--out", str(tmp_path / "run"), *self.DIVERGING])
         assert code == 4
         assert capsys.readouterr().err == "error: non-finite scores at iteration 2\n"
+
+    def test_diverging_run_prints_one_line(self, dataset, tmp_path):
+        # numpy's overflow and invalid-value warnings stay off stderr, in a
+        # fresh interpreter with its default warning filters
+        src = os.path.dirname(os.path.dirname(_commands.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "milrank.cli", "train", "--manifest", str(dataset / "manifest.txt"),
+             "--out", str(tmp_path / "run"), *self.DIVERGING],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 4
+        assert proc.stderr == "error: non-finite scores at iteration 2\n"
 
     @pytest.mark.parametrize("snapshots, error", [
         ([], "a probe video needs snapshot_every > 0"),
@@ -413,14 +474,14 @@ class TestTrain:
         code = main(["train", "--manifest", str(dataset / "manifest.txt"),
                      "--out", str(run), "--config", str(cfg), "--iters", "5"])
         assert code == 0
-        assert (run / "ckpt_5.json").is_file()  # flag beat the config file
+        assert (run / "ckpt_5.bin").is_file()  # flag beat the config file
         log_lines = (run / "training_log.csv").read_text().splitlines()
         assert len(log_lines) == 6
 
 
 class TestScore:
     def test_zero_checkpoint_scores_half(self, dataset, tmp_path, capsys):
-        ckpt = tmp_path / "zero.json"
+        ckpt = tmp_path / "zero.bin"
         zero_checkpoint(ckpt)
         feature_path = next((dataset / "features").glob("*.feat"))
         out = tmp_path / "scored"
@@ -435,7 +496,7 @@ class TestScore:
         assert len(frame_lines) == 1 + f.n_frames
 
     def test_dim_mismatch_exit_code(self, dataset, tmp_path):
-        ckpt = tmp_path / "wrong.json"
+        ckpt = tmp_path / "wrong.bin"
         zero_checkpoint(ckpt, dim=5)
         feature_path = next((dataset / "features").glob("*.feat"))
         assert main(["score", "--checkpoint", str(ckpt), "--features", str(feature_path),
@@ -443,56 +504,14 @@ class TestScore:
 
     def test_missing_checkpoint_is_io_error(self, dataset, tmp_path):
         feature_path = next((dataset / "features").glob("*.feat"))
-        assert main(["score", "--checkpoint", str(tmp_path / "nope.json"),
+        assert main(["score", "--checkpoint", str(tmp_path / "nope.bin"),
                      "--features", str(feature_path), "--out", str(tmp_path / "s")]) == 3
 
-    @pytest.mark.parametrize("doc", [
-        [1, 2, 3],
-        {"version": 2, "dim": 8, "widths": [4, 2], "dropout_rate": 0.6, "params": [1.0]},
-        {"version": 2, "dim": 8, "widths": [4, 2], "dropout_rate": 0.6,
-         "params": {"w1": 5, "b1": "", "w2": "", "b2": "", "w3": "", "b3": ""}},
-        {"version": 2, "dim": 1, "widths": [1, 1], "dropout_rate": 1.5,
-         "params": {name: b64([0.0]) for name in ("w1", "b1", "w2", "b2", "w3", "b3")}},
-        {"version": 2, "dim": 8, "widths": [0, 1], "dropout_rate": 0.6,
-         "params": {"w1": "", "b1": "", "w2": "", "b2": b64([0.0]), "w3": b64([0.0]),
-                    "b3": b64([0.0])}},
-        # strings and booleans are not numbers, though int()/float() would convert them
-        mlp_doc(dim="8"),
-        mlp_doc(widths="42"),
-        mlp_doc(dropout_rate=False),
-        # a parameter is one base64 text, not numbers, a list of texts, null or an object
-        mlp_doc(w1=[0.0] * 32),
-        mlp_doc(b1=False),
-        mlp_doc(w2=[b64([0.0])] * 8),
-        mlp_doc(b2=None),
-        mlp_doc(w3={"text": b64([0.0] * 2)}),
-        mlp_doc(b3="0.5"),
-        mlp_doc(version=True),
-        mlp_doc(version=1.0),
-        # strict base64: only the standard alphabet, exact padding, no whitespace
-        mlp_doc(w1=b64([0.0] * 32).replace("A", "-", 1)),
-        mlp_doc(b1=b64([0.0] * 4).replace("A", "_", 1)),
-        mlp_doc(b3=b64([0.0]).rstrip("=")),
-        mlp_doc(b3=b64([0.0]) + "="),
-        mlp_doc(w2=b64([0.0] * 4) + "\n" + b64([0.0] * 4)),
-        mlp_doc(b2=b64([0.0] * 2) + "\n"),
-        mlp_doc(w3=" " + b64([0.0] * 2)),
-        # exactly 8 bytes for each of the shape's values
-        mlp_doc(w1=b64([0.0] * 31)),
-        mlp_doc(w1=b64([0.0] * 33)),
-        mlp_doc(b1=b64([0.0] * 4)[:-4]),
-        # every value finite
-        mlp_doc(b3=b64([float("nan")])),
-        mlp_doc(w2=b64([0.0] * 7 + [float("inf")])),
-        mlp_doc(w3=b64([0.0, float("-inf")])),
-        mlp_doc(version=3),
-        # a w1 whose element count, 2**64, wraps to 0 in int64 arithmetic
-        {"version": 2, "dim": 2**32, "widths": [2**32, 1], "dropout_rate": 0.6,
-         "params": dict.fromkeys(("w1", "b1", "w2", "b2", "w3", "b3"), "")},
-    ])
+    @pytest.mark.parametrize("doc", MALFORMED_CHECKPOINTS,
+                             ids=[f"doc{i}" for i in range(len(MALFORMED_CHECKPOINTS))])
     def test_malformed_checkpoint_is_format_error(self, dataset, tmp_path, capsys, doc):
-        ckpt = tmp_path / "bad.json"
-        ckpt.write_text(json.dumps(doc))
+        ckpt = tmp_path / "bad.bin"
+        ckpt.write_bytes(doc)
         feature_path = next((dataset / "features").glob("*.feat"))
         assert main(["score", "--checkpoint", str(ckpt), "--features", str(feature_path),
                      "--out", str(tmp_path / "s")]) == 3
@@ -508,18 +527,30 @@ class TestScore:
         feature_path = next((dataset / "features").glob("*.feat"))
         assert main(["score", "--checkpoint", str(ckpt), "--features", str(feature_path),
                      "--out", str(tmp_path / "s")]) == 3
-        assert "unsupported version 1, expected 2" in capsys.readouterr().err
+        assert "unsupported version 1, expected 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim, h1, h2", [(8, 4, 2), (4096, 512, 32)], ids=["small", "paper"])
+    def test_version_2_checkpoint_is_format_error(self, dataset, tmp_path, capsys, dim, h1, h2):
+        # a version-2 file: one line of JSON, each parameter base64 of its float64 bytes
+        sizes = {"w1": h1 * dim, "b1": h1, "w2": h2 * h1, "b2": h2, "w3": h2, "b3": 1}
+        ckpt = tmp_path / "v2.json"
+        ckpt.write_text(json.dumps({"version": 2, "dim": dim, "widths": [h1, h2], "dropout_rate": 0.6,
+                                    "params": {k: b64(np.zeros(n)) for k, n in sizes.items()}}) + "\n")
+        feature_path = next((dataset / "features").glob("*.feat"))
+        assert main(["score", "--checkpoint", str(ckpt), "--features", str(feature_path),
+                     "--out", str(tmp_path / "s")]) == 3
+        assert "unsupported version 2, expected 3" in capsys.readouterr().err
 
     def test_unchanged_mlp_doc_scores(self, dataset, tmp_path):
-        # the malformed cases above each differ from this document in one field
-        ckpt = tmp_path / "good.json"
-        ckpt.write_text(json.dumps(mlp_doc()))
+        # the malformed cases above each differ from this file in one part
+        ckpt = tmp_path / "good.bin"
+        ckpt.write_bytes(mlp_header() + PAYLOAD)
         feature_path = next((dataset / "features").glob("*.feat"))
         assert main(["score", "--checkpoint", str(ckpt), "--features", str(feature_path),
                      "--out", str(tmp_path / "s")]) == 0
 
     def test_format_flag_overrides_extension(self, dataset, tmp_path):
-        ckpt = tmp_path / "zero.json"
+        ckpt = tmp_path / "zero.bin"
         zero_checkpoint(ckpt)
         f = load_features(next((dataset / "features").glob("*.feat")))
         write_features(f, tmp_path / "clip.feat", "csv")
@@ -533,7 +564,7 @@ class TestScore:
         assert score(tmp_path / "plain.csv") == 0
 
     def test_binary_file_read_as_csv_is_format_error(self, dataset, tmp_path, capsys):
-        ckpt = tmp_path / "zero.json"
+        ckpt = tmp_path / "zero.bin"
         zero_checkpoint(ckpt)
         binary = tmp_path / "x.csv"
         binary.write_bytes(next((dataset / "features").glob("*.feat")).read_bytes())
@@ -542,7 +573,7 @@ class TestScore:
         assert "not UTF-8 text" in capsys.readouterr().err
 
     def test_matches_library_scores(self, dataset, tmp_path):
-        ckpt = tmp_path / "m.json"
+        ckpt = tmp_path / "m.bin"
         model = init_model(8, seed=4, hidden1=16, hidden2=4)
         save_checkpoint(model, ckpt)
         feature_path = next((dataset / "features").glob("*.feat"))
@@ -558,7 +589,7 @@ class TestScore:
 
 class TestEval:
     def test_outputs_and_library_equivalence(self, dataset, tmp_path, capsys):
-        ckpt = tmp_path / "m.json"
+        ckpt = tmp_path / "m.bin"
         model = init_model(8, seed=6, hidden1=16, hidden2=4)
         save_checkpoint(model, ckpt)
         out = tmp_path / "eval"
@@ -582,7 +613,7 @@ class TestEval:
                  if " 0 " in f" {line} " or line.split()[1] == "0"]
         manifest.write_text("\n".join(
             f"{dataset}/{line.split()[0]} 0 {dataset}/annotations.txt" for line in lines) + "\n")
-        ckpt = tmp_path / "m.json"
+        ckpt = tmp_path / "m.bin"
         zero_checkpoint(ckpt)
         assert main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest),
                      "--segments", "8", "--out", str(tmp_path / "e")]) == 6
@@ -590,7 +621,7 @@ class TestEval:
 
     @pytest.mark.parametrize("threshold", ["nan", "inf"])
     def test_non_finite_threshold_is_usage_error(self, dataset, tmp_path, capsys, threshold):
-        ckpt = tmp_path / "zero.json"
+        ckpt = tmp_path / "zero.bin"
         zero_checkpoint(ckpt)
         assert main(["eval", "--checkpoint", str(ckpt), "--manifest", str(dataset / "manifest_test.txt"),
                      "--segments", "8", "--threshold", threshold, "--out", str(tmp_path / "e")]) == 2
@@ -661,8 +692,8 @@ class TestTextReaders:
     @pytest.mark.parametrize("reader", ["manifest", "annotation", "config", "checkpoint", "baseline"])
     def test_non_utf8_is_format_error(self, dataset, tmp_path, capsys, reader):
         binary = tmp_path / "binary.txt"
-        binary.write_bytes(b"ok\n\xff\xfe\n")
-        ckpt = tmp_path / "zero.json"
+        binary.write_bytes(b"ok \xff\xfe\n")  # on the first line, a checkpoint's header
+        ckpt = tmp_path / "zero.bin"
         zero_checkpoint(ckpt)
         manifest = dataset / "case.txt"
         manifest.write_text(f"features/pos003.feat 1 {binary}\n")

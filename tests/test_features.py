@@ -131,6 +131,13 @@ class TestCsvFormat:
         with pytest.raises(FormatError, match="line 3"):
             load_features(path, "csv")
 
+    def test_value_past_float32_names_line(self, tmp_path):
+        # finite as a float64 but not in 32-bit storage; refused with no numpy warning
+        path = tmp_path / "v.csv"
+        path.write_text("2,2,32\n1,2\n1e39,4\n")
+        with pytest.raises(FormatError, match="line 3: value overflows 32-bit storage"):
+            load_features(path, "csv")
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "v.csv"
         path.write_text("2,3\n")

@@ -7,7 +7,6 @@ the wrong code.  Inputs are random bytes, random text over each format's
 own tokens, and valid files with corrupted bytes or fields.
 """
 
-import base64
 import json
 
 import numpy as np
@@ -63,7 +62,7 @@ def workdir(tmp_path_factory):
     write_features(f, root / "a.feat", "binary")
     write_features(f, root / "a.csv", "csv")
     (root / "ann.txt").write_text("a 48 0 16\n")
-    save_checkpoint(init_model(2, seed=0, hidden1=2, hidden2=1), root / "mlp.json")
+    save_checkpoint(init_model(2, seed=0, hidden1=2, hidden2=1), root / "mlp.bin")
     save_linear(LinearModel(w=np.array([0.5, -0.5]), b=0.1, c_reg=1.0), root / "linear.json")
     return root
 
@@ -134,64 +133,55 @@ def with_field(doc, keys, value):
     return json.dumps(doc).encode()
 
 
-def json_documents(valid_path, field_paths):
-    doc = json.loads(valid_path.read_text())
+def json_documents(valid: bytes, field_paths):
+    doc = json.loads(valid)
     mutated = st.builds(lambda keys, value: with_field(doc, keys, value),
                         st.sampled_from(field_paths), JSON_VALUES)
     whole = JSON_VALUES.map(lambda value: json.dumps(value).encode())
-    return (mutated | whole | st.binary(max_size=60) | corrupted(valid_path.read_bytes())
+    return (mutated | whole | st.binary(max_size=60) | corrupted(valid)
             | st.sampled_from([b"[" * 100_000, b"1" * 5000, b"\xff{}"]))
 
 
-MLP_PARAMS = ("w1", "b1", "w2", "b2", "w3", "b3")
-MLP_FIELDS = [("version",), ("dim",), ("widths",), ("widths", 0), ("dropout_rate",), ("params",),
-              *(("params", name) for name in MLP_PARAMS)]
-# the base64 alphabet, its padding, whitespace, the URL-safe alphabet's two
-# letters and a few other characters, one byte each in Latin-1
-B64_CHARS = "AZaz09+/= \n\t-_*.\x00é".encode("latin-1")
+MLP_FIELDS = [("version",), ("dim",), ("widths",), ("widths", 0), ("dropout_rate",)]
 
 
-def corrupted_text(text):
-    """``text`` with some characters replaced by B64_CHARS, then cut or extended."""
-    return corrupted(text.encode("ascii"), st.sampled_from(B64_CHARS)).map(
-        lambda data: data.decode("latin-1"))
+def mlp_parts(workdir):
+    """The valid checkpoint's header line, without its newline, and its payload."""
+    return (workdir / "mlp.bin").read_bytes().split(b"\n", 1)
 
 
 class TestCheckpoints:
     @FUZZ
     @given(data=st.data())
     def test_mlp(self, workdir, data):
-        path = workdir / "mlp.json"
-        parses_or_rejects(load_checkpoint, workdir / "x_mlp.json",
-                          data.draw(json_documents(path, MLP_FIELDS)))
+        header, payload = mlp_parts(workdir)
+        line = data.draw(json_documents(header, MLP_FIELDS))
+        parses_or_rejects(load_checkpoint, workdir / "x_mlp.bin", line + b"\n" + payload)
 
     @FUZZ
     @given(data=st.data())
-    def test_mlp_corrupted_base64(self, workdir, data):
-        doc = json.loads((workdir / "mlp.json").read_text())
-        name = data.draw(st.sampled_from(MLP_PARAMS))
-        text = data.draw(corrupted_text(doc["params"][name]))
-        doc["params"][name] = text
-        (workdir / "x_mlp.json").write_text(json.dumps(doc))
+    def test_mlp_corrupted_payload(self, workdir, data):
+        header, payload = mlp_parts(workdir)
+        corrupt = data.draw(corrupted(payload))
+        (workdir / "x_mlp.bin").write_bytes(header + b"\n" + corrupt)
         try:
-            model = load_checkpoint(workdir / "x_mlp.json")
+            model = load_checkpoint(workdir / "x_mlp.bin")
         except FormatError:
             return
-        # only strict base64 of the parameter's exact byte count loads
-        assert base64.b64decode(text, validate=True) == getattr(model, name).astype("<f8").tobytes()
+        # only the exact byte count, every value finite, loads, and bit for bit
+        assert b"".join(arr.astype("<f8").tobytes() for arr in model.params().values()) == corrupt
 
     def test_mlp_negative_widths(self, workdir):
-        doc = json.loads((workdir / "mlp.json").read_text())
+        header, payload = mlp_parts(workdir)
+        doc = json.loads(header)
         doc.update(dim=-1, widths=[-1, -1])
-        zero = base64.b64encode(np.zeros(1).tobytes()).decode()
-        doc["params"].update(w1=zero, b1=zero, w2=zero)
-        (workdir / "x_mlp.json").write_text(json.dumps(doc))
+        (workdir / "x_mlp.bin").write_bytes(json.dumps(doc).encode() + b"\n" + payload)
         with pytest.raises(FormatError, match="negative"):
-            load_checkpoint(workdir / "x_mlp.json")
+            load_checkpoint(workdir / "x_mlp.bin")
 
     @FUZZ
     @given(data=st.data())
     def test_linear(self, workdir, data):
-        path = workdir / "linear.json"
+        valid = (workdir / "linear.json").read_bytes()
         parses_or_rejects(load_linear, workdir / "x_linear.json",
-                          data.draw(json_documents(path, [("w",), ("w", 0), ("b",), ("c_reg",)])))
+                          data.draw(json_documents(valid, [("w",), ("w", 0), ("b",), ("c_reg",)])))

@@ -1,6 +1,7 @@
-import base64
 import dataclasses
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,14 +272,14 @@ class TestDropoutExpectation:
 class TestCheckpoint:
     def test_save_load_save_byte_identical(self, tmp_path):
         model = init_model(12, seed=13, hidden1=6, hidden2=3, dropout_rate=0.25)
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         save_checkpoint(model, p1)
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_values_exact(self, tmp_path):
         model = init_model(5, seed=17, hidden1=4, hidden2=2)
-        path = tmp_path / "m.json"
+        path = tmp_path / "m.bin"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
         for name, arr in model.params().items():
@@ -291,30 +292,58 @@ class TestCheckpoint:
         w3 = model.w3.copy()
         w3[0, :5] = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
         model = clone_with_params(model, {"w3": w3})
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         save_checkpoint(model, p1)
         loaded = load_checkpoint(p1)
         for name, arr in model.params().items():
-            assert getattr(loaded, name).tobytes() == arr.tobytes(), name
-            assert getattr(loaded, name).flags.writeable
+            got = getattr(loaded, name)
+            assert got.tobytes() == arr.tobytes(), name
+            assert got.dtype == np.float64 and got.dtype.isnative, name
+            assert got.flags.writeable and got.flags.aligned and got.flags.c_contiguous, name
         save_checkpoint(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_header_line_then_float64_payload(self, tmp_path):
+        model = tiny_model()
+        path = tmp_path / "m.bin"
+        save_checkpoint(model, path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        assert json.loads(header) == {"version": 3, "dim": 8, "widths": [8, 4], "dropout_rate": 0.0}
+        assert payload == b"".join(arr.astype("<f8").tobytes() for arr in model.params().values())
+
     def test_bad_version(self, tmp_path):
-        path = tmp_path / "m.json"
+        path = tmp_path / "m.bin"
         save_checkpoint(tiny_model(), path)
-        doc = path.read_text()
-        for version in (1, 3):
-            path.write_text(doc.replace('"version": 2', f'"version": {version}'))
-            with pytest.raises(FormatError, match=f"unsupported version {version}"):
+        data = path.read_bytes()
+        for version in (1, 2, 4):
+            path.write_bytes(data.replace(b'"version": 3', f'"version": {version}'.encode(), 1))
+            with pytest.raises(FormatError, match=f"unsupported version {version}, expected 3"):
                 load_checkpoint(path)
 
     def test_wrong_param_length(self, tmp_path):
-        path = tmp_path / "m.json"
+        path = tmp_path / "m.bin"
         save_checkpoint(tiny_model(), path)
-        one, two = (base64.b64encode(np.zeros(n).tobytes()).decode() for n in (1, 2))
-        doc = path.read_text()
-        assert f'"b3": "{one}"' in doc
-        path.write_text(doc.replace(f'"b3": "{one}"', f'"b3": "{two}"'))
-        with pytest.raises(FormatError, match="b3"):
+        data = path.read_bytes()
+        want = 8 * (8 * 8 + 8 + 4 * 8 + 4 + 4 + 1)
+        assert len(data) - data.index(b"\n") - 1 == want
+        for wrong, got in ((data[:-8], want - 8), (data + bytes(8), want + 8)):
+            path.write_bytes(wrong)
+            with pytest.raises(FormatError, match=f"expected {want} bytes of float64 after the header, got {got}"):
+                load_checkpoint(path)
+
+    def test_loading_allocates_little_beyond_the_payload(self, tmp_path):
+        """Loading a paper-shape checkpoint allocates at most half its float64
+        payload beyond the payload itself: the weights are read straight into
+        one array, with no text or bytes copy.  Counted by tracemalloc, with no
+        timing."""
+        path = tmp_path / "m.bin"
+        save_checkpoint(init_model(4096, seed=21), path)
+        payload = 8 * (512 * 4096 + 512 + 32 * 512 + 32 + 32 + 1)
+        assert path.stat().st_size > payload
+        tracemalloc.start()
+        try:
             load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * payload
