@@ -1,10 +1,11 @@
 """Frame-level evaluation: score expansion, ROC/AUC, false-alarm rate.
 
 ``expand_scores`` is the one rule from segment scores to a frame timeline.
-Frames from all videos are pooled into one global ROC; a frame is positive
-iff it lies inside an annotated anomalous interval.  Tied scores
-contribute diagonal curve segments, which makes the trapezoidal AUC equal
-to the pair-counting definition with half credit for ties.
+``evaluate_manifest`` pools the frames of all videos once, for one global
+ROC (a frame is positive iff it lies inside an annotated anomalous
+interval) and the false-alarm rate of the normal videos' frames.  Tied
+scores contribute diagonal curve segments, which makes the trapezoidal AUC
+equal to the pair-counting definition with half credit for ties.
 """
 
 from __future__ import annotations
@@ -68,8 +69,9 @@ class ScoreTimeline:
 
 @dataclass(frozen=True)
 class RocCurve:
-    thresholds: tuple[float, ...]
-    points: tuple[tuple[float, float], ...]  # (fpr, tpr), sorted by fpr
+    thresholds: np.ndarray  # +inf, then the distinct scores in decreasing order
+    fpr: np.ndarray  # non-decreasing from 0 to 1, one point per threshold
+    tpr: np.ndarray
     auc: float
 
 
@@ -79,55 +81,33 @@ def expand_scores(f: FeatureMatrix, segment_scores, m: int) -> ScoreTimeline:
     return ScoreTimeline(video_id=f.video_id, frame_scores=spread_over_frames(scores, f.n_frames))
 
 
-def _pool_frames(timelines, annotations) -> tuple[np.ndarray, np.ndarray]:
-    by_id = {}
-    for ann in annotations:
-        if ann.video_id in by_id:
-            raise ValueError(f"duplicate annotation for video {ann.video_id!r}")
-        by_id[ann.video_id] = ann
-    labels = []
-    scores = []
-    for tl in timelines:
-        ann = by_id.get(tl.video_id)
-        if ann is None:
-            raise ValueError(f"no annotation for video {tl.video_id!r}")
-        if ann.n_frames != tl.n_frames:
-            raise ValueError(
-                f"video {tl.video_id!r}: annotation covers {ann.n_frames} frames, timeline has {tl.n_frames}")
-        labels.append(ann.frame_labels())
-        scores.append(tl.frame_scores)
-    if not labels:
-        raise MetricError("empty frame pool")
-    return np.concatenate(labels), np.concatenate(scores)
-
-
-def roc_auc(timelines, annotations) -> RocCurve:
-    """Pooled frame-level ROC curve and trapezoidal AUC.
+def roc_auc(labels, scores) -> RocCurve:
+    """ROC curve and trapezoidal AUC of pooled frame ``labels`` (true if
+    anomalous) and ``scores``.
 
     Thresholds sweep all distinct scores (prediction is positive iff
     score >= threshold) plus a +inf sentinel for the (0, 0) endpoint.
     """
-    labels, scores = _pool_frames(timelines, annotations)
-    n_pos = int(labels.sum())
+    labels = np.asarray(labels, dtype=bool)
+    scores = np.asarray(scores, dtype=np.float64)
+    if labels.ndim != 1 or labels.shape != scores.shape:
+        raise ValueError(f"labels {labels.shape} and scores {scores.shape} must be equal-length vectors")
+    n_pos = int(np.count_nonzero(labels))
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise MetricError("frame pool contains only one class")
 
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
-    sorted_labels = labels[order]
     # last index of each run of tied scores
     distinct = np.flatnonzero(np.diff(sorted_scores) != 0.0)
     boundaries = np.append(distinct, sorted_scores.size - 1)
-    tp = np.cumsum(sorted_labels)[boundaries]
+    tp = np.cumsum(labels[order])[boundaries]
     fp = boundaries + 1 - tp
-
-    thresholds = [float("inf")] + [float(s) for s in sorted_scores[boundaries]]
     fpr = np.concatenate([[0.0], fp / n_neg])
     tpr = np.concatenate([[0.0], tp / n_pos])
-    auc = float(np.trapezoid(tpr, fpr))
-    points = tuple((float(x), float(y)) for x, y in zip(fpr, tpr))
-    return RocCurve(thresholds=tuple(thresholds), points=points, auc=auc)
+    return RocCurve(thresholds=np.concatenate([[np.inf], sorted_scores[boundaries]]),
+                    fpr=fpr, tpr=tpr, auc=float(np.trapezoid(tpr, fpr)))
 
 
 def check_threshold(threshold: float) -> None:
@@ -136,20 +116,17 @@ def check_threshold(threshold: float) -> None:
         raise ValueError(f"threshold must be finite, got {threshold}")
 
 
-def false_alarm_rate(timelines, threshold: float = 0.5) -> float:
-    """Fraction of pooled frames scoring at or above ``threshold``.
+def false_alarm_rate(scores, threshold: float = 0.5) -> float:
+    """Fraction of pooled frame ``scores`` at or above ``threshold``.
 
-    Callers must pass timelines of normal videos only; the result is a
-    plain ratio (multiply by 100 when reporting a percentage).
+    Callers pass the frames of normal videos only; the result is a plain
+    ratio (multiply by 100 when reporting a percentage).
     """
     check_threshold(threshold)
-    frames = [tl.frame_scores for tl in timelines]
-    if not frames:
+    scores = np.asarray(scores)
+    if scores.size == 0:
         raise MetricError("empty frame pool")
-    pooled = np.concatenate(frames)
-    if pooled.size == 0:
-        raise MetricError("empty frame pool")
-    return float(np.count_nonzero(pooled >= threshold) / pooled.size)
+    return float(np.count_nonzero(scores >= threshold) / scores.size)
 
 
 def score_video(model: MlpModel, f: FeatureMatrix,
@@ -241,24 +218,22 @@ def evaluate_manifest(manifest: DatasetManifest, segment_scorer, m: int = DEFAUL
     """
     annotation_cache: dict = {}
     timelines = []
-    annotations = []
-    normal_timelines = []
+    labels = []
     for entry in manifest.entries:
         f = load_features(entry.feature_path)
-        timeline = expand_scores(f, segment_scorer(f), m)
-        annotations.append(entry_annotation(entry, f.video_id, f.n_frames, annotation_cache))
-        if entry.label == 0:
-            normal_timelines.append(timeline)
-        timelines.append(timeline)
-    curve = roc_auc(timelines, annotations)
-    far = false_alarm_rate(normal_timelines, threshold) if normal_timelines else None
+        timelines.append(expand_scores(f, segment_scorer(f), m))
+        labels.append(entry_annotation(entry, f.video_id, f.n_frames, annotation_cache).frame_labels())
+    scores = np.concatenate([tl.frame_scores for tl in timelines])
+    curve = roc_auc(np.concatenate(labels), scores)
+    normal = np.repeat([e.label == 0 for e in manifest.entries], [tl.n_frames for tl in timelines])
+    far = false_alarm_rate(scores[normal], threshold) if normal.any() else None
     return ManifestEvaluation(curve=curve, false_alarm=far, timelines=tuple(timelines))
 
 
 def write_roc_csv(curve: RocCurve, path) -> None:
     """CSV with one row per threshold plus a final ``AUC,<value>`` line."""
-    rows = [(threshold, fpr, tpr) for threshold, (fpr, tpr) in zip(curve.thresholds, curve.points)]
-    write_lines(path, csv_lines("threshold,fpr,tpr", rows + [("AUC", curve.auc)]))
+    rows = zip(curve.thresholds.tolist(), curve.fpr.tolist(), curve.tpr.tolist())
+    write_lines(path, csv_lines("threshold,fpr,tpr", [*rows, ("AUC", curve.auc)]))
 
 
 def write_timeline_csv(timeline: ScoreTimeline, path) -> None:

@@ -102,10 +102,6 @@ class ForwardTrace:
     gate1: np.ndarray | None = None
     gate2: np.ndarray | None = None
 
-    @property
-    def batch_size(self) -> int:
-        return self.inputs.shape[0]
-
 
 def init_model(dim: int, seed: int, hidden1: int = DEFAULT_HIDDEN1, hidden2: int = DEFAULT_HIDDEN2,
                dropout_rate: float = DEFAULT_DROPOUT) -> MlpModel:
@@ -220,8 +216,8 @@ def backward(model: MlpModel, trace: ForwardTrace, dloss_dscores) -> dict[str, n
     every other gradient, as float64.
     """
     g = np.asarray(dloss_dscores, dtype=np.float64)
-    if g.shape != (trace.batch_size,):
-        raise ValueError(f"dloss_dscores must have shape ({trace.batch_size},), got {g.shape}")
+    if g.shape != trace.scores.shape:
+        raise ValueError(f"dloss_dscores must have shape {trace.scores.shape}, got {g.shape}")
     if trace.inputs.shape[1] != model.dim or trace.h2.shape[1] != model.hidden2 \
             or trace.h1.shape[1] != model.hidden1:
         raise ValueError("trace does not match model shape")

@@ -15,11 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import DEFAULT_SEGMENTS, FRAMES_PER_CLIP, FeatureMatrix, segment_bounds, write_features
-from .metrics import score_video
-from .network import MlpModel
+from .features import FRAMES_PER_CLIP, FeatureMatrix, write_features
 from .rng import STREAM_SYNTH, derive_rng
-from .validation import content_lines, csv_lines, write_lines
+from .validation import csv_lines, write_lines
 
 ANNOTATION_SLOTS = 2  # pad every annotation line to this many interval pairs
 
@@ -121,33 +119,3 @@ def generate(spec: SynthSpec, out_dir, test_pos: int = 0, test_neg: int = 0) -> 
     return GeneratedDataset(out_dir, manifest_path, test_manifest_path, annotations_path,
                             planted_csv_path, tuple(feature_paths), planted)
 
-
-def load_planted(path) -> dict[str, tuple[int, int]]:
-    """Read a planted.csv back into a video-id lookup."""
-    rows = (text.split(",") for lineno, text in content_lines(path) if lineno > 1)
-    return {video_id: (int(start), int(end)) for video_id, start, end in rows}
-
-
-def planted_segment_range(n_clips: int, m: int, clip_start: int, clip_end: int) -> set[int]:
-    """Segment indices whose (non-empty) clip group intersects the planted run."""
-    bounds = segment_bounds(n_clips, m)
-    return {g for g in range(m)
-            if bounds[g + 1] > bounds[g] and bounds[g] < clip_end and bounds[g + 1] > clip_start}
-
-
-def localization_accuracy(model: MlpModel, features, planted: dict[str, tuple[int, int]],
-                          m: int = DEFAULT_SEGMENTS) -> float:
-    """Fraction of positive videos whose argmax segment hits the planted run."""
-    hits = 0
-    total = 0
-    for f in features:
-        run = planted.get(f.video_id)
-        if run is None:
-            continue
-        best = int(np.argmax(score_video(model, f, m)[0]))
-        total += 1
-        if best in planted_segment_range(f.n_clips, m, *run):
-            hits += 1
-    if total == 0:
-        raise ValueError("no features matched the planted index")
-    return hits / total

@@ -22,13 +22,7 @@ from milrank.loss import (
     weight_decay_grads,
     weight_decay_term,
 )
-from milrank.metrics import (
-    TemporalAnnotation,
-    ScoreTimeline,
-    evaluate_manifest,
-    roc_auc,
-    score_video,
-)
+from milrank.metrics import evaluate_manifest, roc_auc, score_video
 from milrank.network import (
     backward,
     clone_with_params,
@@ -40,7 +34,8 @@ from milrank.network import (
     save_checkpoint,
 )
 from milrank.optim import AdagradState, TrainConfig, adagrad_step, train
-from milrank.synthetic import SynthSpec, generate, load_planted, localization_accuracy
+from milrank.synthetic import SynthSpec, generate
+from planted import load_planted, localization_accuracy
 
 DATA_SEED = 5
 TRAIN_SEED = 1
@@ -176,12 +171,6 @@ def test_c02_loss_term_oracle():
               "touches at most one entry per bag")
 
 
-def labels_to_annotation(video_id, labels):
-    edges = np.flatnonzero(np.diff(np.concatenate([[0], labels.astype(int), [0]])))
-    intervals = tuple((int(edges[i]), int(edges[i + 1])) for i in range(0, edges.size, 2))
-    return TemporalAnnotation(video_id, labels.size, intervals)
-
-
 def test_c03_auc_pair_counting_equivalence():
     rng = np.random.default_rng(3)
     start = time.perf_counter()
@@ -192,7 +181,7 @@ def test_c03_auc_pair_counting_equivalence():
             labels[rng.integers(n)] ^= True
         decimals = int(rng.integers(1, 4))  # coarse scores force ties
         scores = np.round(rng.uniform(0, 1, n), decimals)
-        curve = roc_auc([ScoreTimeline("v", scores)], [labels_to_annotation("v", labels)])
+        curve = roc_auc(labels, scores)
         pos = scores[labels][:, None]
         neg = scores[~labels][None, :]
         oracle = ((pos > neg).sum() + 0.5 * (pos == neg).sum()) / (pos.size * neg.shape[1])

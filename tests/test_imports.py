@@ -1,8 +1,10 @@
 """Import hygiene of the package and its tests.
 
-No linter runs with the tests, so an AST scan stands in for one check: an
+No linter runs with the tests, so AST scans stand in for two checks: an
 imported name must be referenced somewhere in its module (as a name or the
-root of an attribute chain).  Imports from ``__future__`` are exempt.
+root of an attribute chain), and a top-level function in ``tests/`` other
+than a test or a pytest fixture must be named (as a name or an attribute)
+in some test file.  Imports from ``__future__`` are exempt.
 
 The package ``__init__`` imports no submodule, so nothing fixes the order
 in which they load.  Each one is imported alone in a fresh interpreter:
@@ -19,7 +21,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "milrank").glob("*.py"))
-SCANNED = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+SCANNED = PACKAGE + TESTS
 
 
 def imported_names(tree):
@@ -52,6 +55,43 @@ def test_scan_sees_an_unused_import():
               "from x import y, z as w\ny()\nos.sep\n")
     tree = ast.parse(source)
     assert [name for _, name in imported_names(tree) if name not in used_names(tree)] == ["json", "w"]
+
+
+def is_fixture(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "attr", getattr(target, "id", None)) == "fixture"
+
+
+def helper_functions(tree):
+    """Top-level functions other than tests and pytest fixtures."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("test_") \
+                and not any(map(is_fixture, node.decorator_list)):
+            yield node.lineno, node.name
+
+
+def named(tree):
+    return used_names(tree) | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def dead_helpers(trees):
+    names = set().union(*map(named, trees.values()))
+    return [f"{path}:{lineno}: {name}"
+            for path, tree in trees.items() for lineno, name in helper_functions(tree) if name not in names]
+
+
+def test_no_dead_test_helpers():
+    trees = {path.relative_to(ROOT): ast.parse(path.read_text(encoding="utf-8")) for path in TESTS}
+    assert dead_helpers(trees) == []
+
+
+def test_scan_sees_a_dead_helper():
+    helpers = ("import pytest\nimport oracle\n@pytest.fixture\ndef data(): pass\n"
+               "@pytest.fixture(scope='module')\ndef model(): pass\n"
+               "def used(): pass\ndef by_attribute(): pass\ndef dead(): pass\n")
+    tests = "from helpers import used\ndef test_x(data, model):\n    used(oracle.by_attribute())\n"
+    trees = {"helpers.py": ast.parse(helpers), "test_x.py": ast.parse(tests)}
+    assert dead_helpers(trees) == ["helpers.py:9: dead"]
 
 
 @pytest.mark.parametrize("module", [

@@ -13,7 +13,6 @@ from milrank.features import (
 )
 from milrank.metrics import (
     RocCurve,
-    ScoreTimeline,
     TemporalAnnotation,
     entry_annotation,
     evaluate_manifest,
@@ -31,35 +30,17 @@ def two_segment_video():
     return FeatureMatrix("v", np.zeros((2, 3)), 10)
 
 
-def timeline(video_id, scores):
-    return ScoreTimeline(video_id, np.asarray(scores, dtype=np.float64))
-
-
-def annotation(video_id, n_frames, *intervals):
-    return TemporalAnnotation(video_id, n_frames, tuple(intervals))
-
-
 def pair_count_auc(labels, scores):
     """Brute-force P(score_pos > score_neg) + half credit for ties."""
     labels = np.asarray(labels, dtype=bool)
     scores = np.asarray(scores, dtype=np.float64)
     pos = scores[labels][:, None]
     neg = scores[~labels][None, :]
-    wins = (pos > neg).sum()
-    ties = (pos == neg).sum()
-    return (wins + 0.5 * ties) / (pos.size * neg.size / 1)  # sizes broadcast
+    return ((pos > neg).sum() + 0.5 * (pos == neg).sum()) / (pos.size * neg.size)
 
 
-def pooled_auc_oracle(timelines, annotations):
-    labels = np.concatenate([a.frame_labels() for a in annotations])
-    scores = np.concatenate([t.frame_scores for t in timelines])
-    n_pos = labels.sum()
-    n_neg = labels.size - n_pos
-    pos = scores[labels]
-    neg = scores[~labels]
-    wins = (pos[:, None] > neg[None, :]).sum()
-    ties = (pos[:, None] == neg[None, :]).sum()
-    return (wins + 0.5 * ties) / (n_pos * n_neg)
+def interval_labels(n_frames, *intervals):
+    return TemporalAnnotation("v", n_frames, intervals).frame_labels()
 
 
 class TestExpandScores:
@@ -93,14 +74,10 @@ class TestExpandScores:
 
 class TestRocAuc:
     def test_perfect_ranking(self):
-        tls = [timeline("a", [1.0, 1.0, 0.0, 0.0])]
-        anns = [annotation("a", 4, (0, 2))]
-        assert roc_auc(tls, anns).auc == 1.0
+        assert roc_auc(interval_labels(4, (0, 2)), [1.0, 1.0, 0.0, 0.0]).auc == 1.0
 
     def test_degenerate_constant_scores(self):
-        tls = [timeline("a", [0.5, 0.5, 0.5, 0.5])]
-        anns = [annotation("a", 4, (0, 2))]
-        assert roc_auc(tls, anns).auc == 0.5
+        assert roc_auc(interval_labels(4, (0, 2)), [0.5, 0.5, 0.5, 0.5]).auc == 0.5
 
     def test_pair_counting_oracle_random_pools(self):
         rng = np.random.default_rng(1)
@@ -108,82 +85,71 @@ class TestRocAuc:
             n = int(rng.integers(10, 400))
             n_anom = int(rng.integers(1, n))
             scores = np.round(rng.uniform(0, 1, n), 2)  # rounding forces ties
-            tls = [timeline("a", scores)]
-            anns = [annotation("a", n, (0, n_anom))]
-            got = roc_auc(tls, anns).auc
-            want = pooled_auc_oracle(tls, anns)
+            labels = interval_labels(n, (0, n_anom))
+            got = roc_auc(labels, scores).auc
+            want = pair_count_auc(labels, scores)
             assert abs(got - want) < 1e-9
 
     def test_multi_video_pooling(self):
-        tls = [timeline("a", [0.9, 0.1]), timeline("b", [0.8, 0.2, 0.3])]
-        anns = [annotation("a", 2, (0, 1)), annotation("b", 3, (0, 1))]
-        got = roc_auc(tls, anns).auc
-        assert abs(got - pooled_auc_oracle(tls, anns)) < 1e-12
+        # two videos' frames, concatenated: [0.9, 0.1] with frame 0 anomalous,
+        # then [0.8, 0.2, 0.3] with frame 0 anomalous
+        labels = np.concatenate([interval_labels(2, (0, 1)), interval_labels(3, (0, 1))])
+        scores = [0.9, 0.1, 0.8, 0.2, 0.3]
+        got = roc_auc(labels, scores).auc
+        assert abs(got - pair_count_auc(labels, scores)) < 1e-12
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(2)
         scores = rng.uniform(0, 1, 200)
-        tls_a = [timeline("a", scores)]
-        tls_b = [timeline("a", scores ** 3)]
-        anns = [annotation("a", 200, (50, 120))]
-        assert abs(roc_auc(tls_a, anns).auc - roc_auc(tls_b, anns).auc) < 1e-12
+        labels = interval_labels(200, (50, 120))
+        assert abs(roc_auc(labels, scores).auc - roc_auc(labels, scores ** 3).auc) < 1e-12
 
     def test_label_reversal_complements_auc(self):
         rng = np.random.default_rng(3)
         scores = rng.uniform(0, 1, 100)
-        tls = [timeline("a", scores)]
-        forward_auc = roc_auc(tls, [annotation("a", 100, (30, 70))]).auc
-        reversed_auc = roc_auc(tls, [annotation("a", 100, (0, 30), (70, 100))]).auc
+        forward_auc = roc_auc(interval_labels(100, (30, 70)), scores).auc
+        reversed_auc = roc_auc(interval_labels(100, (0, 30), (70, 100)), scores).auc
         assert abs(forward_auc - (1.0 - reversed_auc)) < 1e-12
 
     def test_curve_endpoints_and_monotonicity(self):
         rng = np.random.default_rng(4)
-        tls = [timeline("a", np.round(rng.uniform(0, 1, 60), 1))]
-        anns = [annotation("a", 60, (10, 35))]
-        curve = roc_auc(tls, anns)
-        assert curve.points[0] == (0.0, 0.0)
-        assert curve.points[-1] == (1.0, 1.0)
-        fprs = [p[0] for p in curve.points]
-        tprs = [p[1] for p in curve.points]
-        assert all(a <= b for a, b in zip(fprs, fprs[1:]))
-        assert all(a <= b for a, b in zip(tprs, tprs[1:]))
+        curve = roc_auc(interval_labels(60, (10, 35)), np.round(rng.uniform(0, 1, 60), 1))
+        assert curve.thresholds.shape == curve.fpr.shape == curve.tpr.shape
+        assert (curve.fpr[0], curve.tpr[0]) == (0.0, 0.0)
+        assert (curve.fpr[-1], curve.tpr[-1]) == (1.0, 1.0)
+        assert np.all(np.diff(curve.fpr) >= 0)
+        assert np.all(np.diff(curve.tpr) >= 0)
         assert curve.thresholds[0] == float("inf")
 
     def test_single_class_pool_rejected(self):
         with pytest.raises(MetricError):
-            roc_auc([timeline("a", [0.1, 0.2])], [annotation("a", 2)])
+            roc_auc(interval_labels(2), [0.1, 0.2])
         with pytest.raises(MetricError):
-            roc_auc([timeline("a", [0.1, 0.2])], [annotation("a", 2, (0, 2))])
+            roc_auc(interval_labels(2, (0, 2)), [0.1, 0.2])
 
-    def test_missing_annotation_rejected(self):
-        with pytest.raises(ValueError):
-            roc_auc([timeline("a", [0.1, 0.2])], [annotation("b", 2, (0, 1))])
-
-    def test_frame_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            roc_auc([timeline("a", [0.1, 0.2])], [annotation("a", 3, (0, 1))])
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            roc_auc(interval_labels(3, (0, 1)), [0.1, 0.2])
 
 
 class TestFalseAlarmRate:
     def test_all_zero_scores(self):
-        assert false_alarm_rate([timeline("a", np.zeros(10))]) == 0.0
+        assert false_alarm_rate(np.zeros(10)) == 0.0
 
     def test_all_one_scores(self):
-        assert false_alarm_rate([timeline("a", np.ones(10))]) == 1.0
+        assert false_alarm_rate(np.ones(10)) == 1.0
 
     def test_uniform_scores_near_half(self):
         rng = np.random.default_rng(5)
-        tls = [timeline("a", rng.uniform(0, 1, 10_000))]
-        assert abs(false_alarm_rate(tls, 0.5) - 0.5) < 0.02
+        assert abs(false_alarm_rate(rng.uniform(0, 1, 10_000), 0.5) - 0.5) < 0.02
 
     def test_threshold_inclusive(self):
-        tls = [timeline("a", [0.5, 0.4999, 0.5001])]
-        assert false_alarm_rate(tls, 0.5) == pytest.approx(2 / 3)
+        assert false_alarm_rate([0.5, 0.4999, 0.5001], 0.5) == pytest.approx(2 / 3)
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(6)
-        tls = [timeline("a", rng.uniform(0, 1, 500))]
-        rates = [false_alarm_rate(tls, t) for t in np.linspace(0, 1, 21)]
+        scores = rng.uniform(0, 1, 500)
+        rates = [false_alarm_rate(scores, t) for t in np.linspace(0, 1, 21)]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
     def test_empty_pool_rejected(self):
@@ -193,7 +159,7 @@ class TestFalseAlarmRate:
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_threshold_rejected(self, threshold):
         with pytest.raises(ValueError, match="threshold must be finite"):
-            false_alarm_rate([timeline("a", np.zeros(10))], threshold)
+            false_alarm_rate(np.zeros(10), threshold)
 
 
 class TestScoreVideo:
@@ -276,6 +242,35 @@ class TestEvaluateManifest:
             assert got.frame_scores.dtype == expected.frame_scores.dtype
             assert got.frame_scores.tobytes() == expected.frame_scores.tobytes()
 
+    def test_pooled_metrics_match_brute_force(self, tmp_path):
+        manifest = write_eval_set(tmp_path, self.SIZES)
+        model = init_model(6, seed=4, hidden1=8, hidden2=3)
+        scorer = lambda f: score_video(model, f, 8)[0]
+        normal = [tl.frame_scores for entry, tl in
+                  zip(manifest.entries, evaluate_manifest(manifest, scorer, m=8).timelines)
+                  if entry.label == 0]
+        threshold = float(np.median(np.concatenate(normal)))
+        evaluation = evaluate_manifest(manifest, scorer, m=8, threshold=threshold)
+        alarms = sum(int(np.count_nonzero(scores >= threshold)) for scores in normal)
+        assert 0.0 < evaluation.false_alarm < 1.0
+        assert evaluation.false_alarm == alarms / sum(scores.size for scores in normal)
+        # write_eval_set marks the first third of each anomalous video's frames
+        labels = np.concatenate([interval_labels(frames, (0, max(1, frames // 3))) if i % 2
+                                 else interval_labels(frames) for i, (_, frames) in enumerate(self.SIZES)])
+        scores = np.concatenate([tl.frame_scores for tl in evaluation.timelines])
+        assert abs(evaluation.curve.auc - pair_count_auc(labels, scores)) < 1e-12
+
+    def test_no_normal_video_gives_no_false_alarm_rate(self, tmp_path):
+        write_eval_set(tmp_path, self.SIZES)
+        lines = (tmp_path / "test.txt").read_text().splitlines()
+        (tmp_path / "anomalous.txt").write_text("\n".join(lines[1::2]) + "\n")
+        manifest = load_manifest(tmp_path / "anomalous.txt", "test")
+        assert {entry.label for entry in manifest.entries} == {1}
+        model = init_model(6, seed=5, hidden1=8, hidden2=3)
+        evaluation = evaluate_manifest(manifest, lambda f: score_video(model, f, 8)[0], m=8)
+        assert evaluation.false_alarm is None
+        assert 0.0 <= evaluation.curve.auc <= 1.0
+
 
 class TestEntryAnnotation:
     def entry(self, tmp_path, label, annotation_text):
@@ -349,11 +344,22 @@ class TestAnnotationsFile:
 
 class TestRocCsv:
     def test_csv_has_threshold_rows_and_auc_line(self, tmp_path):
-        curve = RocCurve(thresholds=(float("inf"), 0.9, 0.1),
-                         points=((0.0, 0.0), (0.0, 0.5), (1.0, 1.0)), auc=0.75)
+        curve = RocCurve(thresholds=np.array([np.inf, 0.9, 0.1]), fpr=np.array([0.0, 0.0, 1.0]),
+                         tpr=np.array([0.0, 0.5, 1.0]), auc=0.75)
         path = tmp_path / "roc.csv"
         write_roc_csv(curve, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "threshold,fpr,tpr"
         assert lines[1] == "inf,0.0,0.0"
         assert lines[-1] == "AUC,0.75"
+
+    def test_curve_from_roc_auc_written_as_float_reprs(self, tmp_path):
+        rng = np.random.default_rng(11)
+        curve = roc_auc(interval_labels(90, (20, 50)), rng.uniform(0, 1, 90) / 3)
+        path = tmp_path / "roc.csv"
+        write_roc_csv(curve, path)
+        lines = path.read_text().splitlines()
+        assert lines[1].startswith("inf,")
+        assert lines[1:-1] == [",".join(repr(float(x)) for x in row)
+                               for row in zip(curve.thresholds, curve.fpr, curve.tpr)]
+        assert lines[-1] == f"AUC,{curve.auc!r}"

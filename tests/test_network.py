@@ -213,10 +213,10 @@ class TestLiveRowBackward:
     def cases(self):
         model, trace = self.batch("train")
         rng = np.random.default_rng(13)
-        yield "every row live", model, trace, rng.uniform(0.1, 1.0, trace.batch_size)
-        yield "no row live", model, trace, np.zeros(trace.batch_size)
+        yield "every row live", model, trace, rng.uniform(0.1, 1.0, trace.scores.size)
+        yield "no row live", model, trace, np.zeros(trace.scores.size)
         yield "negatives at their argmax", model, trace, self.ranking_gradient(trace)
-        scattered = rng.uniform(0.1, 1.0, trace.batch_size) * (rng.random(trace.batch_size) < 0.3)
+        scattered = rng.uniform(0.1, 1.0, trace.scores.size) * (rng.random(trace.scores.size) < 0.3)
         scattered[0] = 0.0
         yield "scattered, row 0 dead", model, trace, scattered
         model, trace = self.batch("eval")

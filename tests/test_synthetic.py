@@ -7,13 +7,8 @@ from milrank.features import load_features, load_manifest, segment_bounds
 from milrank.metrics import load_annotations
 from milrank.network import MlpModel
 from milrank.rng import STREAM_SYNTH, derive_rng
-from milrank.synthetic import (
-    SynthSpec,
-    generate,
-    load_planted,
-    localization_accuracy,
-    planted_segment_range,
-)
+from milrank.synthetic import SynthSpec, generate
+from planted import load_planted, localization_accuracy, planted_segment_range
 
 SMALL = SynthSpec(n_pos_videos=4, n_neg_videos=4, dim=8, clips_per_video=16, seed=5)
 
