@@ -77,6 +77,9 @@ TRAIN_FLAGS = (
     ("snapshot-every", ("snapshot_every",), "checkpoint and probe-score interval, 0 for none"),
     ("probe", ("probe_video_id",),
      "probe video id for score snapshots (default: the first positive video)"),
+    ("threads", ("threads",),
+     "worker threads that split the layer-1 training GEMMs by rows; outputs are the same "
+     "for every count, and the default is every CPU this process may use"),
 )
 TRAIN_CALLEES = (TrainConfig, LossParams)
 
@@ -256,32 +259,26 @@ def build_parser() -> argparse.ArgumentParser:
     configured = argparse.ArgumentParser(add_help=False)
     configured.add_argument("--config", type=Path, default=None,
                             help="optional key=value config file; flags override it")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=None,
-                        help="cap on BLAS threads, overriding OMP_NUM_THREADS and the other "
-                             "thread variables (default: keep them, else 1, for "
-                             "reproducibility); a caller that has already imported numpy "
-                             "in the same process cannot re-pin BLAS with it")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[configured, common], help="generate a synthetic dataset")
+    p = sub.add_parser("synth", parents=[configured], help="generate a synthetic dataset")
     p.add_argument("--out", type=Path, required=True)
     _add_setting_flags(p, SYNTH_FLAGS, SYNTH_CALLEES)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("ingest-check", parents=[common], help="validate a manifest and its files")
+    p = sub.add_parser("ingest-check", help="validate a manifest and its files")
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--split", choices=("train", "test"), default="train",
                    help="test also checks each entry's annotation as eval reads it")
     p.set_defaults(func=cmd_ingest_check)
 
-    p = sub.add_parser("train", parents=[configured, common], help="train the ranking model")
+    p = sub.add_parser("train", parents=[configured], help="train the ranking model")
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     _add_setting_flags(p, TRAIN_FLAGS, TRAIN_CALLEES)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("score", parents=[common], help="score one feature file with a checkpoint")
+    p = sub.add_parser("score", help="score one feature file with a checkpoint")
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--features", type=Path, required=True)
     p.add_argument("--format", choices=("binary", "csv"), default=None,
@@ -293,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, model_flag, text in (
             ("eval", "--checkpoint", "frame-level ROC/AUC and false-alarm rate"),
             ("baseline-eval", "--model", "evaluate the linear baseline")):
-        p = sub.add_parser(name, parents=[common], help=text)
+        p = sub.add_parser(name, help=text)
         p.add_argument(model_flag, type=Path, required=True)
         p.add_argument("--manifest", type=Path, required=True)
         p.add_argument("--segments", type=int, default=DEFAULT_SEGMENTS)
@@ -301,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, required=True)
         p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("baseline-train", parents=[configured, common],
+    p = sub.add_parser("baseline-train", parents=[configured],
                        help="train the linear hinge baseline")
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)

@@ -20,12 +20,23 @@ the scores are float64 for either input dtype.
 Dropout masks are thresholded 32-bit words of a Philox counter-based
 generator (see rng.py), so a given ``rng_seed`` yields the same masks on
 every platform.
+
+A training run passes one ``Workspace`` to every step's
+``forward_with_masks`` and ``backward``.  Its worker threads split the
+large float32 layer-1 GEMMs by output rows, each worker making one BLAS
+call into its own rows of a preallocated product.  This relies on two
+things: numpy releases the GIL inside a BLAS call, and the bundled
+OpenBLAS is reentrant when each call runs on one thread, which
+``cli.main``, the benchmark and the tests' conftest all pin before numpy
+loads.  On that OpenBLAS the split changes no bits (see
+``Workspace.split_rows``), so outputs are the same for every worker count.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -41,6 +52,14 @@ CHECKPOINT_VERSION = 3
 DEFAULT_HIDDEN1 = 512
 DEFAULT_HIDDEN2 = 32
 DEFAULT_DROPOUT = 0.6
+# A GEMM is split only into blocks of at least this many rows and
+# multiply-adds.  Smaller OpenBLAS calls can take other kernels, whose bits
+# differ from the single call's, and the thread hand-off would outweigh
+# them.  So the acceptance-scale batches (640 x 32 by 32 x 512) and eval's
+# 32-row bags stay one call; the paper's training GEMMs (2e9 and 4e9
+# multiply-adds) are split over every worker.
+BLOCK_MIN_ROWS = 64
+BLOCK_MIN_MACS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -84,6 +103,64 @@ class MlpModel:
 
     def params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_FIELDS}
+
+
+class Workspace:
+    """The arrays and worker threads that the steps of one training run share.
+
+    ``forward_with_masks`` and ``backward`` write the layer-1 activations,
+    and the layer-1 products they split, into the arrays that the previous
+    step used, with the same bytes as fresh ones.  The pool of ``workers``
+    threads starts on the first split, and leaving a ``with`` block shuts
+    it down.
+    """
+
+    def __init__(self, workers: int = 1):
+        self.workers = workers
+        self._arrays: dict[str, np.ndarray] = {}
+        self._pool: ThreadPoolExecutor | None = None
+
+    def __enter__(self) -> "Workspace":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+
+    def array(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """The array kept under ``name``, replaced by a fresh one when its shape or dtype differs."""
+        arr = self._arrays.get(name)
+        if arr is None or arr.shape != shape or arr.dtype != dtype:
+            arr = self._arrays[name] = np.empty(shape, dtype)
+        return arr
+
+    def split_rows(self, name: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``a @ b``, split over the workers when it is a large float32 product.
+
+        Such a product is cut into one block of rows of ``a`` per worker,
+        when every block still holds ``BLOCK_MIN_ROWS`` rows and
+        ``BLOCK_MIN_MACS`` multiply-adds.  Each worker writes its block's
+        rows of the array kept under ``name`` with one BLAS call.  On the
+        bundled OpenBLAS an sgemm row computed this way has the single
+        call's bits; the tests check this.  A dgemm row block can change the
+        last column's bits when the column count is odd, so float64 products
+        stay one call.  A product that is not split is a fresh array, as
+        ``@`` returns it: keeping the small ones alive between steps changed
+        which later allocations glibc maps afresh, and slowed the
+        acceptance-scale run.
+        """
+        rows = a.shape[0]
+        blocks = min(self.workers, rows // BLOCK_MIN_ROWS, rows * a.shape[1] * b.shape[1] // BLOCK_MIN_MACS)
+        if blocks < 2 or np.result_type(a, b) != np.float32:
+            return a @ b
+        out = self.array(name, (rows, b.shape[1]), np.float32)
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(self.workers, thread_name_prefix="milrank-gemm")
+        edges = [rows * i // blocks for i in range(blocks + 1)]
+        # reading every result waits for all blocks and re-raises a worker's exception
+        for _ in self._pool.map(lambda lo, hi: np.matmul(a[lo:hi], b, out=out[lo:hi]), edges, edges[1:]):
+            pass
+        return out
 
 
 @dataclass
@@ -170,7 +247,7 @@ def forward(model: MlpModel, segments) -> np.ndarray:
 
 
 def forward_with_masks(model: MlpModel, X: np.ndarray, mask1: np.ndarray | None, mask2: np.ndarray | None,
-                       reuse: ForwardTrace | None = None) -> tuple[np.ndarray, ForwardTrace]:
+                       workspace: Workspace | None = None) -> tuple[np.ndarray, ForwardTrace]:
     """Forward pass with caller-supplied masks (None disables a dropout site).
 
     The trainer uses this to run one stacked pass over a whole batch with
@@ -178,21 +255,24 @@ def forward_with_masks(model: MlpModel, X: np.ndarray, mask1: np.ndarray | None,
     site applies relu, mask and 1/keep scaling as one multiply by its gate.
     Layer 1 multiplies in the dtype of ``X``, with ``w1`` cast to it; its
     product, and so every later activation, is float64 from then on.  Both
-    casts are no-ops for float64 input.  ``reuse``, a trace the caller no
-    longer needs (the trainer's previous step), lends its ``h1`` and
-    ``gate1`` arrays when their shapes match: this pass writes its values
-    into them, with the same bytes as fresh ones.
+    casts are no-ops for float64 input.  With a ``workspace`` (the
+    trainer's, shared by its steps), the layer-1 product, ``h1`` and
+    ``gate1`` are written into the workspace's arrays, so a later step
+    overwrites this trace's ``h1`` and ``gate1``; without one, they are
+    fresh.
     """
     keep = 1.0 - model.dropout_rate
-    lent = reuse is not None and reuse.h1.shape == (X.shape[0], model.hidden1)
-    h1 = np.add(X @ model.w1.astype(X.dtype, copy=False).T, model.b1, out=reuse.h1 if lent else None)
+    ws = workspace or Workspace()
+    shape1 = (X.shape[0], model.hidden1)
+    z1 = ws.split_rows("z1", X, model.w1.astype(X.dtype, copy=False).T)
+    h1 = np.add(z1, model.b1, out=ws.array("h1", shape1, np.float64))
     gate1 = gate2 = None
     if mask1 is None:
         np.maximum(h1, 0.0, out=h1)
     else:
         kept = h1 > 0.0
         kept &= mask1
-        gate1 = np.multiply(kept, 1.0 / keep, out=reuse.gate1 if lent else None)
+        gate1 = np.multiply(kept, 1.0 / keep, out=ws.array("gate1", shape1, np.float64))
         h1 *= gate1
     h2 = h1 @ model.w2.T
     h2 += model.b2
@@ -203,7 +283,8 @@ def forward_with_masks(model: MlpModel, X: np.ndarray, mask1: np.ndarray | None,
     return scores, ForwardTrace(inputs=X, h1=h1, h2=h2, scores=scores, gate1=gate1, gate2=gate2)
 
 
-def backward(model: MlpModel, trace: ForwardTrace, dloss_dscores) -> dict[str, np.ndarray]:
+def backward(model: MlpModel, trace: ForwardTrace, dloss_dscores,
+             workspace: Workspace | None = None) -> dict[str, np.ndarray]:
     """Parameter gradients for the loss whose score-gradient is given.
 
     Applies the dropout masks recorded in the trace; the relu subgradient
@@ -212,8 +293,9 @@ def backward(model: MlpModel, trace: ForwardTrace, dloss_dscores) -> dict[str, n
     rows only and never read those rows' inputs or activations.  The ranking
     loss reaches every positive segment but only the top-scoring segment of
     each negative bag, so all other negative rows are skipped.  ``dW1``
-    is multiplied in the dtype of the trace's inputs and returned, like
-    every other gradient, as float64.
+    is multiplied in the dtype of the trace's inputs, split over the
+    ``workspace``'s workers when one is given, and returned, like every
+    other gradient, as a fresh float64 array.
     """
     g = np.asarray(dloss_dscores, dtype=np.float64)
     if g.shape != trace.scores.shape:
@@ -240,7 +322,8 @@ def backward(model: MlpModel, trace: ForwardTrace, dloss_dscores) -> dict[str, n
     # after it are gathered, instead of copying every live input row.
     k = int(np.searchsorted(live - np.arange(live.size), 0, side="right"))
     dz1_x = dz1.astype(trace.inputs.dtype, copy=False)
-    dw1 = (dz1_x[:k].T @ trace.inputs[:k]).astype(np.float64, copy=False)
+    ws = workspace or Workspace()
+    dw1 = ws.split_rows("dw1", dz1_x[:k].T, trace.inputs[:k]).astype(np.float64, copy=False)
     if k < live.size:
         dw1 += dz1_x[k:].T @ trace.inputs[live[k:]]
     db1 = dz1.sum(axis=0)

@@ -9,13 +9,19 @@ back-propagates the mean pair loss plus weight decay through the network.
 Batches are stacked in the bags' dtype, float32 for ``load_bags``, so the
 layer-1 GEMMs ``X @ W1.T`` and ``dZ1.T @ X`` run in float32; weights,
 Adagrad state, gradients, layers 2-3 and the loss stay float64.
+``TrainConfig.threads`` worker threads split the large layer-1 GEMMs by
+output rows (``network.Workspace``).  That is safe because numpy releases
+the GIL inside BLAS calls and OpenBLAS, pinned to one thread per call, is
+reentrant; everything else, Adagrad and weight decay included, runs on the
+calling thread.
 Everything is keyed off integer seeds, so a run is a pure function of its
 inputs: identical config and data give bit-identical checkpoints and logs
-on one platform.
+on one platform, for every thread count.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +34,7 @@ from .network import (
     DEFAULT_HIDDEN1,
     DEFAULT_HIDDEN2,
     MlpModel,
+    Workspace,
     backward,
     clone_with_params,
     dropout_masks,
@@ -40,6 +47,8 @@ from .validation import csv_lines
 
 LOG_HEADER = "iteration,loss,hinge_mean,smooth_mean,sparse_mean,reg"
 PROBE_HEADER = "iteration,segment_index,score"
+# every CPU this process may run on
+DEFAULT_THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -61,6 +70,7 @@ class TrainConfig:
     hidden1: int = DEFAULT_HIDDEN1
     hidden2: int = DEFAULT_HIDDEN2
     dropout_rate: float = DEFAULT_DROPOUT
+    threads: int = DEFAULT_THREADS  # workers splitting the layer-1 GEMMs; outputs do not depend on it
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -79,6 +89,8 @@ class TrainConfig:
             raise ValueError("a probe video needs snapshot_every > 0")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
 
 
 @dataclass
@@ -195,49 +207,49 @@ def train_on_bags(pos_bags: list[Bag], neg_bags: list[Bag], cfg: TrainConfig,
     m = cfg.segments_per_bag
     log = TrainingLog()
     X = np.empty((2 * P * m, dim), dtype)  # every batch is stacked into this one buffer
-    trace = None  # each step's forward writes its activations into the previous step's arrays
 
-    for it in range(1, cfg.iterations + 1):
-        # a diverging step overflows to inf or nan; the score and loss checks report it
-        with np.errstate(over="ignore", invalid="ignore"):
-            pos_idx, neg_idx = sample_pair_indices(len(pos_bags), len(neg_bags), cfg, it)
-            np.concatenate([pos_bags[i].segments for i in pos_idx]
-                           + [neg_bags[j].segments for j in neg_idx], out=X)
+    with Workspace(cfg.threads) as workspace:
+        for it in range(1, cfg.iterations + 1):
+            # a diverging step overflows to inf or nan; the score and loss checks report it
+            with np.errstate(over="ignore", invalid="ignore"):
+                pos_idx, neg_idx = sample_pair_indices(len(pos_bags), len(neg_bags), cfg, it)
+                np.concatenate([pos_bags[i].segments for i in pos_idx]
+                               + [neg_bags[j].segments for j in neg_idx], out=X)
 
-            mask1 = mask2 = None
-            if cfg.dropout_rate > 0.0:
-                mask1, mask2 = dropout_masks(model, 2 * P * m, dropout_seed(cfg.seed, it))
-            scores, trace = forward_with_masks(model, X, mask1, mask2, trace)
-            if not np.isfinite(scores).all():
-                raise NonFiniteLossError(f"non-finite scores at iteration {it}")
-            S = scores.reshape(2 * P, m)
+                mask1 = mask2 = None
+                if cfg.dropout_rate > 0.0:
+                    mask1, mask2 = dropout_masks(model, 2 * P * m, dropout_seed(cfg.seed, it))
+                scores, trace = forward_with_masks(model, X, mask1, mask2, workspace)
+                if not np.isfinite(scores).all():
+                    raise NonFiniteLossError(f"non-finite scores at iteration {it}")
+                S = scores.reshape(2 * P, m)
 
-            terms = ranking_loss_and_grad(S[:P], S[P:], lp)
-            reg = weight_decay_term(model, lp)
-            loss_value = terms.totals.sum() / P + reg
-            if not np.isfinite(loss_value):
-                raise NonFiniteLossError(f"non-finite loss at iteration {it}")
+                terms = ranking_loss_and_grad(S[:P], S[P:], lp)
+                reg = weight_decay_term(model, lp)
+                loss_value = terms.totals.sum() / P + reg
+                if not np.isfinite(loss_value):
+                    raise NonFiniteLossError(f"non-finite loss at iteration {it}")
 
-            dscores = np.concatenate((terms.grad_pos, terms.grad_neg)).ravel() / P
-            grads = backward(model, trace, dscores)
-            for name, extra in weight_decay_grads(model, lp).items():
-                grads[name] += extra
-            model, state = adagrad_step(model, grads, state)
+                dscores = np.concatenate((terms.grad_pos, terms.grad_neg)).ravel() / P
+                grads = backward(model, trace, dscores, workspace)
+                for name, extra in weight_decay_grads(model, lp).items():
+                    grads[name] += extra
+                model, state = adagrad_step(model, grads, state)
 
-        log.rows.append((
-            it,
-            float(loss_value),
-            float(terms.hinge.mean()),
-            float(terms.smoothness.mean()),
-            float(terms.sparsity.mean()),
-            float(reg),
-        ))
-        if cfg.snapshot_every and it % cfg.snapshot_every == 0:
-            if probe_bag is not None:
-                probe_scores = forward(model, probe_bag.segments)
-                log.probe_rows.extend((it, seg, float(s)) for seg, s in enumerate(probe_scores))
-            if snapshot_hook is not None:
-                snapshot_hook(it, model)
+            log.rows.append((
+                it,
+                float(loss_value),
+                float(terms.hinge.mean()),
+                float(terms.smoothness.mean()),
+                float(terms.sparsity.mean()),
+                float(reg),
+            ))
+            if cfg.snapshot_every and it % cfg.snapshot_every == 0:
+                if probe_bag is not None:
+                    probe_scores = forward(model, probe_bag.segments)
+                    log.probe_rows.extend((it, seg, float(s)) for seg, s in enumerate(probe_scores))
+                if snapshot_hook is not None:
+                    snapshot_hook(it, model)
     return model, log
 
 

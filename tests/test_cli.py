@@ -22,7 +22,7 @@ from milrank.exceptions import (
     NonFiniteLossError,
 )
 from milrank.loss import LossParams
-from milrank.optim import TrainConfig
+from milrank.optim import DEFAULT_THREADS, TrainConfig
 from milrank.synthetic import SynthSpec, generate
 from milrank.features import load_features, write_features
 from milrank.network import init_model, load_checkpoint, save_checkpoint
@@ -326,7 +326,7 @@ class TestDefaultsFromConfig:
         helps = help_by_flag(["synth"], capsys)
         for flag, name in self.SYNTH_FLAG_FIELDS.items():
             assert helps[flag].endswith(f"(default {defaults[name]})"), (flag, helps[flag])
-        assert set(helps) - {"--help"} == {*self.SYNTH_FLAG_FIELDS, "--out", "--config", "--threads"}
+        assert set(helps) - {"--help"} == {*self.SYNTH_FLAG_FIELDS, "--out", "--config"}
 
     def test_baseline_train_help_shows_fit_linear_defaults(self, capsys):
         signature = inspect.signature(fit_linear).parameters
@@ -724,12 +724,37 @@ class TestThreadPeek:
                               timeout=60)
         assert proc.stdout == "False\n", proc.stdout + proc.stderr
 
-    def test_threads_flag_parsed(self):
-        from milrank.cli import _peek_threads
-        assert _peek_threads(["train", "--threads", "4"]) == 4
-        assert _peek_threads(["train", "--threads=2"]) == 2
-        assert _peek_threads(["train"]) == 1
-        assert _peek_threads(["--threads", "junk"]) == 1
+    @pytest.fixture
+    def train_config(self, dataset, tmp_path, monkeypatch):
+        """Runs ``train`` with the given flags up to ``optim.train`` and returns
+        its exit code and the TrainConfig it built."""
+        built = []
+
+        def stop(manifest, cfg, snapshot_hook=None):
+            built.append(cfg)
+            raise DataError("stopped before training")
+
+        monkeypatch.setattr(_commands, "train", stop)
+
+        def run(*flags):
+            code = main(["train", "--manifest", str(dataset / "manifest.txt"),
+                         "--out", str(tmp_path / "out"), *flags])
+            return code, built.pop() if built else None
+        return run
+
+    def test_threads_flag_parsed(self, train_config):
+        assert train_config("--threads", "4")[1].threads == 4
+        assert train_config("--threads=2")[1].threads == 2
+        assert train_config()[1].threads == DEFAULT_THREADS == len(os.sched_getaffinity(0))
+        with pytest.raises(SystemExit) as exc:
+            train_config("--threads", "junk")
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_threads_is_usage_error(self, train_config, tmp_path, capsys, value):
+        assert train_config("--threads", value) == (2, None)
+        assert f"error: threads must be at least 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.fixture
     def clean_thread_env(self, monkeypatch):
@@ -738,14 +763,65 @@ class TestThreadPeek:
             monkeypatch.delenv(var, raising=False)
         return THREAD_ENV_VARS
 
-    def test_explicit_flag_overrides_preset_env(self, clean_thread_env, monkeypatch, tmp_path):
+    def test_threads_flag_sets_workers_not_blas(self, clean_thread_env, monkeypatch, train_config):
         monkeypatch.setenv("OMP_NUM_THREADS", "7")
-        main(["ingest-check", "--manifest", str(tmp_path / "none.txt"), "--threads", "3"])
+        assert train_config("--threads", "3")[1].threads == 3
         assert {var: os.environ[var] for var in clean_thread_env} == \
-            {var: "3" for var in clean_thread_env}
+            {var: "1" for var in clean_thread_env}
 
-    def test_preset_env_kept_without_flag(self, clean_thread_env, monkeypatch, tmp_path):
+    def test_preset_env_pinned_to_one(self, clean_thread_env, monkeypatch, tmp_path):
         monkeypatch.setenv("OMP_NUM_THREADS", "7")
         main(["ingest-check", "--manifest", str(tmp_path / "none.txt")])
-        assert os.environ["OMP_NUM_THREADS"] == "7"
-        assert all(os.environ[var] == "1" for var in clean_thread_env[1:])
+        assert {var: os.environ[var] for var in clean_thread_env} == \
+            {var: "1" for var in clean_thread_env}
+
+    @pytest.mark.parametrize("command, required", [
+        ("synth", ["--out"]), ("ingest-check", ["--manifest"]),
+        ("score", ["--checkpoint", "--features", "--out"]),
+        ("eval", ["--checkpoint", "--manifest", "--out"]),
+        ("baseline-train", ["--manifest", "--out"]),
+        ("baseline-eval", ["--model", "--manifest", "--out"])])
+    def test_threads_is_train_only(self, tmp_path, capsys, command, required):
+        # BLAS runs one thread for every command; only train has worker threads to set
+        paths = [token for flag in required for token in (flag, str(tmp_path / flag[2:]))]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *paths, "--threads", "2"])
+        assert exc.value.code == 2
+        assert f"milrank {command}: error: unrecognized arguments: --threads 2\n" in capsys.readouterr().err
+
+
+class TestTrainThreads:
+    """``train --threads`` sets how many worker threads split the layer-1
+    GEMMs; the ``--out`` tree is the same for every count."""
+
+    ITERS = 3
+
+    def test_out_tree_identical_for_every_thread_count(self, tmp_path, pool_submits):
+        # dim 1280 and 10 + 10 bags of 32 segments per batch: the forward GEMM
+        # (640 x 1280 by 1280 x 512) and dW1 (512 x 320+ by 320+ x 1280) are
+        # each large enough for three blocks
+        data = tmp_path / "data"
+        assert main(synth_args(data, pos=10, neg=10, dim=1280, clips=32, seed=3)) == 0
+        train = ["train", "--manifest", str(data / "manifest.txt"), "--iters", str(self.ITERS),
+                 "--batch", "10", "--snapshot-every", "1"]
+        digests = {}
+        for threads in (1, 2, 3, None):
+            pool_submits.clear()
+            out = tmp_path / f"out_{threads}"
+            flags = [] if threads is None else ["--threads", str(threads)]
+            assert main([*train, "--out", str(out), *flags]) == 0
+            digests[threads] = tree_digest(out)
+            if threads is None:  # every CPU this process may use
+                assert bool(pool_submits) == (DEFAULT_THREADS > 1)
+            else:  # one block per worker for each of a step's two layer-1 GEMMs
+                assert len(pool_submits) == (2 * self.ITERS * threads if threads > 1 else 0)
+        assert len(set(digests.values())) == 1, digests
+
+        # the installed command pins BLAS to one thread whatever the environment says
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2",
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-m", "milrank.cli", *train, "--out",
+                               str(tmp_path / "out_cmd"), "--threads", "2"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert tree_digest(tmp_path / "out_cmd") == digests[1]

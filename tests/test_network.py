@@ -11,6 +11,7 @@ from milrank.loss import LossParams, ranking_loss_and_grad
 from milrank.network import (
     ForwardTrace,
     MlpModel,
+    Workspace,
     backward,
     clone_with_params,
     dropout_masks,
@@ -252,6 +253,61 @@ class TestLiveRowBackward:
             poisoned.inputs[dead] = np.nan
             poisoned.h1[dead] = np.nan
             self.assert_matches(backward(model, poisoned, g), full_row_backward(model, trace, g))
+
+
+class TestSplitRows:
+    """``Workspace.split_rows`` cuts a large float32 GEMM into one block of
+    rows per worker; the product keeps the single call's bits."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_forward_and_dw1_shapes_match_one_call(self, dtype, workers, pool_submits):
+        # X @ W1.T and dZ1.T @ X, with odd counts of rows, columns and inner
+        # terms, each large enough for three blocks
+        rng = np.random.default_rng(11)
+        X, w1 = rng.standard_normal((1001, 513)), rng.standard_normal((511, 513))
+        dz1, rows = rng.standard_normal((401, 511)), rng.standard_normal((401, 1025))
+        with Workspace(workers) as ws:
+            for a, b in ((X, w1.T), (dz1.T, rows)):
+                a, b = a.astype(dtype), b.astype(dtype)
+                assert ws.split_rows("out", a, b).tobytes() == (a @ b).tobytes()
+        # float64 products always stay one call
+        assert len(pool_submits) == (2 * workers if workers > 1 and dtype == np.float32 else 0)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_training_pass_matches_one_worker(self, workers, pool_submits):
+        model = init_model(1025, seed=4, hidden1=511, hidden2=8, dropout_rate=0.6)
+        X = np.random.default_rng(4).standard_normal((640, 1025)).astype(np.float32)
+        masks = dropout_masks(model, 640, 7)
+
+        def step(ws):
+            scores, trace = forward_with_masks(model, X, *masks, ws)
+            S = scores.reshape(20, 32)
+            terms = ranking_loss_and_grad(S[:10], S[10:], LossParams())
+            grads = backward(model, trace, np.concatenate((terms.grad_pos, terms.grad_neg)).ravel() / 10, ws)
+            return [scores, trace.h1, trace.gate1, *grads.values()]
+
+        with Workspace(1) as one, Workspace(workers) as many:
+            want, got = step(one), step(many)
+        assert [arr.tobytes() for arr in got] == [arr.tobytes() for arr in want]
+        assert pool_submits  # both GEMMs were split
+
+    def test_small_work_stays_on_calling_thread(self, pool_submits):
+        rng = np.random.default_rng(5)
+        with Workspace(2) as ws:
+            # the acceptance-scale training step: 10 + 10 bags of 32 segments at dim 32
+            model = init_model(32, seed=5, dropout_rate=0.6)
+            X = rng.standard_normal((640, 32)).astype(np.float32)
+            scores, trace = forward_with_masks(model, X, *dropout_masks(model, 640, 5), ws)
+            backward(model, trace, np.ones(640), ws)
+            # eval's 32-row bags at the paper's dim
+            ws.split_rows("z1", rng.standard_normal((32, 4096)), rng.standard_normal((4096, 512)))
+            ws.split_rows("z1", *(rng.standard_normal(shape).astype(np.float32)
+                                  for shape in ((32, 4096), (4096, 512))))
+            # many multiply-adds, but fewer rows than two blocks need
+            ws.split_rows("dw1", *(rng.standard_normal(shape).astype(np.float32)
+                                   for shape in ((100, 4096), (4096, 1024))))
+        assert pool_submits == []
 
 
 class TestDropoutExpectation:
