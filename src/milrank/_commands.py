@@ -23,7 +23,7 @@ from .exceptions import (
     MetricError,
     NonFiniteLossError,
 )
-from .features import DEFAULT_SEGMENTS, load_features, load_manifest
+from .features import DEFAULT_SEGMENTS, load_features, load_manifest, load_videos
 from .loss import LossParams
 from .metrics import (
     check_threshold,
@@ -164,22 +164,16 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest_check(args) -> int:
+    """Read a manifest's videos as ``train`` and ``baseline-train`` do (``load_videos``),
+    and with ``--split test`` each entry's annotation as ``eval`` does."""
     manifest = load_manifest(args.manifest, args.split)
-    dim = None
-    n_pos = 0
     annotation_cache: dict = {}
-    for entry in manifest.entries:
-        f = load_features(entry.feature_path)
-        if dim is None:
-            dim = f.dim
-        elif f.dim != dim:
-            raise DimensionMismatchError(
-                f"{entry.feature_path}: dim {f.dim} differs from first video's {dim}")
+    for entry, f in load_videos(manifest):
         if manifest.split == "test":
             entry_annotation(entry, f.video_id, f.n_frames, annotation_cache)
-        n_pos += entry.label
     n = len(manifest.entries)
-    print(f"OK: {n} videos ({n_pos} positive / {n - n_pos} negative), dim {dim}")
+    n_pos = sum(entry.label for entry in manifest.entries)
+    print(f"OK: {n} videos ({n_pos} positive / {n - n_pos} negative), dim {f.dim}")
     return EXIT_OK
 
 
@@ -195,7 +189,8 @@ def cmd_train(args) -> int:
         save_checkpoint(snapshot_model, out_dir / f"ckpt_{iteration}.bin")
 
     model, log = train(manifest, cfg, snapshot_hook=save)
-    save(cfg.iterations, model)
+    if not cfg.snapshot_every or cfg.iterations % cfg.snapshot_every:  # else the last snapshot saved it
+        save(cfg.iterations, model)
     write_lines(out_dir / "training_log.csv", csv_lines(LOG_HEADER, log.rows))
     if cfg.snapshot_every:
         write_lines(out_dir / "probe_scores.csv", csv_lines(PROBE_HEADER, log.probe_rows))
@@ -266,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_setting_flags(p, SYNTH_FLAGS, SYNTH_CALLEES)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("ingest-check", help="validate a manifest and its files")
+    p = sub.add_parser("ingest-check", help="validate a manifest: read its videos as train and baseline-train do")
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--split", choices=("train", "test"), default="train",
                    help="test also checks each entry's annotation as eval reads it")

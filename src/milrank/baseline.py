@@ -19,10 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import DataError, DimensionMismatchError, FormatError
-from .features import DEFAULT_SEGMENTS, DatasetManifest, FeatureMatrix, load_features, make_bag, \
-    normalized_means
+from .features import DEFAULT_SEGMENTS, DatasetManifest, FeatureMatrix, load_videos, make_bag, normalized_means
 from .network import sigmoid
-from .validation import check_feature_array, json_number, json_numbers, read_json, write_json
+from .validation import check_feature_array, check_setting, json_number, json_numbers, read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -56,8 +55,8 @@ def fit_linear(X, y, c_reg: float = 1.0, epochs: int = 1000,
     signs = np.where(y > 0, 1.0, -1.0)
     if len(np.unique(signs)) < 2:
         raise DataError("training data contains a single class")
-    if c_reg <= 0 or epochs < 1 or learning_rate <= 0:
-        raise ValueError("c_reg, epochs, and learning_rate must be positive")
+    for name, value in (("c_reg", c_reg), ("epochs", epochs), ("learning_rate", learning_rate)):
+        check_setting(name, value)
 
     k = X.shape[0]
     w = np.zeros(X.shape[1])
@@ -75,11 +74,10 @@ def fit_linear(X, y, c_reg: float = 1.0, epochs: int = 1000,
 def train_linear(manifest: DatasetManifest, **fit_params) -> LinearModel:
     """Fit the baseline on a manifest's videos; ``fit_params`` go to ``fit_linear``."""
     rows = []
-    labels = []
-    for entry in manifest.entries:
-        rows.append(video_feature(load_features(entry.feature_path)))
-        labels.append(entry.label)
-    return fit_linear(np.array(rows), np.array(labels), **fit_params)
+    for _, f in load_videos(manifest):
+        rows.append(video_feature(f))
+        del f  # before the next video is read, as in load_bags
+    return fit_linear(np.array(rows), np.array([entry.label for entry in manifest.entries]), **fit_params)
 
 
 def score_linear(model: LinearModel, f: FeatureMatrix, m: int = DEFAULT_SEGMENTS) -> np.ndarray:

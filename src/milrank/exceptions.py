@@ -28,7 +28,7 @@ class DataError(MilrankError):
 
 
 class DimensionMismatchError(MilrankError, ValueError):
-    """Feature dimensionality does not match the model's expectation."""
+    """Feature dimensionality differs from the model's, or from the dataset's first video's."""
 
 
 class NonFiniteLossError(MilrankError):

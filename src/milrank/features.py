@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import DataError, FormatError
+from .exceptions import DataError, DimensionMismatchError, FormatError
 from .validation import content_lines, read_text, write_lines
 
 MAGIC = b"MILF"
@@ -292,6 +292,19 @@ def _listed_file(manifest_path: Path, lineno: int, kind: str, name: str) -> Path
     raise FileNotFoundError(f"{manifest_path}: line {lineno}: {kind} file not found: {listed}")
 
 
+def load_videos(manifest: DatasetManifest):
+    """Each manifest entry and its features, in manifest order.  Every video of
+    a dataset has the first video's dim; one that differs raises DimensionMismatchError."""
+    dim = None
+    for entry in manifest.entries:
+        f = load_features(entry.feature_path)
+        dim = dim or f.dim
+        if f.dim != dim:
+            raise DimensionMismatchError(f"{entry.feature_path}: dim {f.dim} differs from first video's {dim}")
+        yield entry, f
+        del f  # so a caller that drops its own reference holds one video's clips at a time
+
+
 def load_bags(manifest: DatasetManifest, m: int = DEFAULT_SEGMENTS) -> list[Bag]:
     """Featurize every manifest entry into a training bag, in manifest order.
 
@@ -300,7 +313,8 @@ def load_bags(manifest: DatasetManifest, m: int = DEFAULT_SEGMENTS) -> list[Bag]
     layer-1 GEMMs.
     """
     bags = []
-    for entry in manifest.entries:
-        bag = make_bag(load_features(entry.feature_path), entry.label, m)
+    for entry, f in load_videos(manifest):
+        bag = make_bag(f, entry.label, m)
+        del f  # before the next video is read: a longer-lived matrix raised the peak RSS
         bags.append(Bag(bag.video_id, bag.label, bag.segments.astype(np.float32)))
     return bags

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import MlpModel
-from .validation import check_score_vector
+from .validation import check_score_vector, check_setting
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,8 @@ class LossParams:
     margin: float = 1.0
 
     def __post_init__(self):
-        if self.smoothness_weight < 0 or self.sparsity_weight < 0 or self.weight_decay < 0:
-            raise ValueError("loss weights must be non-negative")
-        if self.margin <= 0:
-            raise ValueError(f"margin must be positive, got {self.margin}")
+        for name in ("smoothness_weight", "sparsity_weight", "weight_decay", "margin"):
+            check_setting(name, getattr(self, name), zero_ok=name != "margin")
 
 
 @dataclass(frozen=True)

@@ -79,13 +79,11 @@ class MlpModel:
         h2 = self.w2.shape[0]
         if min(d, h1, h2) < 1:
             raise ValueError("layer widths must be positive")
-        if self.w2.shape != (h2, h1) or self.w3.shape != (1, h2):
-            raise ValueError("layer shapes do not chain")
-        if self.b1.shape != (h1,) or self.b2.shape != (h2,) or self.b3.shape != (1,):
-            raise ValueError("bias shapes do not match weights")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        for name in PARAM_FIELDS:
+        for name, shape in param_shapes(d, h1, h2).items():
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"parameter {name} has shape {getattr(self, name).shape}, expected {shape}")
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"parameter {name} contains non-finite values")
 
@@ -103,6 +101,12 @@ class MlpModel:
 
     def params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_FIELDS}
+
+
+def param_shapes(dim: int, hidden1: int, hidden2: int) -> dict[str, tuple[int, ...]]:
+    """The shape of each parameter of a dim-hidden1-hidden2-1 network, in ``PARAM_FIELDS`` order."""
+    return {"w1": (hidden1, dim), "b1": (hidden1,), "w2": (hidden2, hidden1), "b2": (hidden2,),
+            "w3": (1, hidden2), "b3": (1,)}
 
 
 class Workspace:
@@ -189,21 +193,12 @@ def init_model(dim: int, seed: int, hidden1: int = DEFAULT_HIDDEN1, hidden2: int
     initial scores near 0.5 so the ranking hinge is active from step 0.
     """
     rng = derive_rng(seed, STREAM_INIT)
-
-    def draw(fan_out, fan_in):
-        # MlpModel rejects a width below 1; max() keeps a zero fan from dividing first
-        limit = np.sqrt(6.0 / max(fan_in + fan_out, 1))
-        return rng.uniform(-limit, limit, size=(fan_out, fan_in))
-
-    return MlpModel(
-        w1=draw(hidden1, dim),
-        b1=np.zeros(hidden1),
-        w2=draw(hidden2, hidden1),
-        b2=np.zeros(hidden2),
-        w3=draw(1, hidden2),
-        b3=np.zeros(1),
-        dropout_rate=dropout_rate,
-    )
+    params = {}
+    for name, shape in param_shapes(dim, hidden1, hidden2).items():  # draws w1, w2, w3 in turn
+        # fan_out + fan_in; MlpModel rejects a width below 1, max() keeps a zero fan from dividing first
+        limit = np.sqrt(6.0 / max(sum(shape), 1))
+        params[name] = rng.uniform(-limit, limit, size=shape) if len(shape) == 2 else np.zeros(shape)
+    return MlpModel(dropout_rate=dropout_rate, **params)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -378,7 +373,7 @@ def load_checkpoint(path) -> MlpModel:
             raise FormatError(path, "header", f"missing or malformed field: {e}") from None
         if min(dim, h1, h2) < 0:
             raise FormatError(path, "header", "negative layer width")
-        shapes = {"w1": (h1, dim), "b1": (h1,), "w2": (h2, h1), "b2": (h2,), "w3": (1, h2), "b3": (1,)}
+        shapes = param_shapes(dim, h1, h2)
         sizes = [math.prod(shape) for shape in shapes.values()]
         n = sum(sizes)
         got = os.fstat(f.fileno()).st_size - len(line)

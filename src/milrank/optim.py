@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DataError, NonFiniteLossError
+from .exceptions import DataError, DimensionMismatchError, NonFiniteLossError
 from .features import DEFAULT_SEGMENTS, Bag, DatasetManifest, load_bags
 from .loss import LossParams, ranking_loss_and_grad, weight_decay_grads, weight_decay_term
 from .network import (
@@ -43,7 +43,7 @@ from .network import (
     init_model,
 )
 from .rng import STREAM_SAMPLER, derive_rng, mix_to_seed
-from .validation import csv_lines
+from .validation import check_setting, csv_lines
 
 LOG_HEADER = "iteration,loss,hinge_mean,smooth_mean,sparse_mean,reg"
 PROBE_HEADER = "iteration,segment_index,score"
@@ -81,8 +81,8 @@ class TrainConfig:
             raise ValueError("batch_pos and batch_neg must be equal (bags are paired one-to-one)")
         if self.segments_per_bag < 2:
             raise ValueError("segments_per_bag must be at least 2")
-        if self.learning_rate <= 0 or self.adagrad_epsilon <= 0:
-            raise ValueError("learning_rate and adagrad_epsilon must be positive")
+        for name in ("learning_rate", "adagrad_epsilon"):
+            check_setting(name, getattr(self, name))
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be non-negative")
         if self.probe_video_id is not None and not self.snapshot_every:
@@ -172,17 +172,6 @@ def dropout_seed(cfg_seed: int, iteration: int) -> int:
     return mix_to_seed(cfg_seed, iteration)
 
 
-def _check_bags(bags: list[Bag], cfg: TrainConfig, dim: int, dtype: np.dtype) -> None:
-    for bag in bags:
-        if bag.n_segments != cfg.segments_per_bag:
-            raise ValueError(
-                f"bag {bag.video_id} has {bag.n_segments} segments, config expects {cfg.segments_per_bag}")
-        if bag.segments.shape[1] != dim:
-            raise ValueError(f"bag {bag.video_id} has dim {bag.segments.shape[1]}, expected {dim}")
-        if bag.segments.dtype != dtype:
-            raise ValueError(f"bag {bag.video_id} has dtype {bag.segments.dtype}, expected {dtype}")
-
-
 def train_on_bags(pos_bags: list[Bag], neg_bags: list[Bag], cfg: TrainConfig,
                   probe_bag: Bag | None = None,
                   snapshot_hook=None) -> tuple[MlpModel, TrainingLog]:
@@ -197,8 +186,14 @@ def train_on_bags(pos_bags: list[Bag], neg_bags: list[Bag], cfg: TrainConfig,
         raise DataError("training needs at least one positive and one negative bag")
     dim = pos_bags[0].segments.shape[1]
     dtype = pos_bags[0].segments.dtype
-    _check_bags(pos_bags, cfg, dim, dtype)
-    _check_bags(neg_bags, cfg, dim, dtype)
+    for bag in pos_bags + neg_bags:
+        if bag.n_segments != cfg.segments_per_bag:
+            raise ValueError(
+                f"bag {bag.video_id} has {bag.n_segments} segments, config expects {cfg.segments_per_bag}")
+        if bag.segments.shape[1] != dim:  # load_bags checks this too, but not every caller builds bags with it
+            raise DimensionMismatchError(f"bag {bag.video_id} has dim {bag.segments.shape[1]}, expected {dim}")
+        if bag.segments.dtype != dtype:
+            raise ValueError(f"bag {bag.video_id} has dtype {bag.segments.dtype}, expected {dtype}")
 
     model = init_model(dim, cfg.seed, cfg.hidden1, cfg.hidden2, cfg.dropout_rate)
     state = AdagradState.for_model(model, cfg.learning_rate, cfg.adagrad_epsilon)

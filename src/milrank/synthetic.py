@@ -17,7 +17,7 @@ import numpy as np
 
 from .features import FRAMES_PER_CLIP, FeatureMatrix, write_features
 from .rng import STREAM_SYNTH, derive_rng
-from .validation import csv_lines, write_lines
+from .validation import check_setting, csv_lines, write_lines
 
 ANNOTATION_SLOTS = 2  # pad every annotation line to this many interval pairs
 
@@ -42,10 +42,8 @@ class SynthSpec:
             raise ValueError("anomaly_fraction must be in (0, 1)")
         if self.anomaly_fraction * self.clips_per_video < 1.0:
             raise ValueError("anomaly_fraction * clips_per_video must be at least 1")
-        if self.separation < 0.0:
-            raise ValueError("separation must be non-negative")
-        if self.noise_sigma <= 0.0:
-            raise ValueError("noise_sigma must be positive")
+        check_setting("separation", self.separation, zero_ok=True)
+        check_setting("noise_sigma", self.noise_sigma)
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

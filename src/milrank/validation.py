@@ -80,6 +80,12 @@ def content_lines(path):
             yield lineno, text
 
 
+def check_setting(name: str, value, *, zero_ok: bool = False) -> None:
+    """Raise a ValueError naming a setting that is NaN, infinite, negative, or zero unless ``zero_ok``."""
+    if not ((value >= 0 if zero_ok else value > 0) and value < np.inf):
+        raise ValueError(f"{name} must be {'non-negative' if zero_ok else 'positive'} and finite, got {value}")
+
+
 def check_feature_array(X, *, dim: int | None = None, name: str = "X") -> np.ndarray:
     """Coerce ``X`` to a finite 2-D float64 array, optionally checking width."""
     arr = np.asarray(X, dtype=np.float64)

@@ -24,7 +24,7 @@ from milrank.exceptions import (
 from milrank.loss import LossParams
 from milrank.optim import DEFAULT_THREADS, TrainConfig
 from milrank.synthetic import SynthSpec, generate
-from milrank.features import load_features, write_features
+from milrank.features import FeatureMatrix, load_features, write_features
 from milrank.network import init_model, load_checkpoint, save_checkpoint
 from milrank.metrics import evaluate_manifest, score_video
 
@@ -157,6 +157,18 @@ class TestSynth:
         assert "Traceback" not in err
         assert not list((tmp_path / "d" / "features").glob("*.feat"))
 
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--separation", "nan", "separation must be non-negative"),
+        ("--separation", "inf", "separation must be non-negative"),
+        ("--noise-sigma", "nan", "noise_sigma must be positive"),
+        ("--noise-sigma", "-inf", "noise_sigma must be positive"),
+    ])
+    def test_non_finite_setting_is_usage_error(self, tmp_path, capsys, flag, value, rule):
+        out = tmp_path / "d"
+        assert main(synth_args(out, extra=[f"{flag}={value}"])) == 2
+        assert capsys.readouterr().err == f"error: {rule} and finite, got {value}\n"
+        assert not out.exists()
+
 
 class TestIngestCheck:
     def test_ok(self, dataset, capsys):
@@ -250,6 +262,22 @@ class TestIngestCheckTestSplit:
         (dataset / "ann_case.txt").write_text("garbage\n")
         (dataset / "case.txt").write_text("features/pos003.feat 1 ann_case.txt\n")
         assert main(["ingest-check", "--manifest", str(dataset / "case.txt")]) == 0
+
+
+class TestMixedDimensions:
+    """Every command that reads a manifest's videos for training applies one dimension rule."""
+
+    @pytest.mark.parametrize("command", ["ingest-check", "train", "baseline-train"])
+    def test_one_exit_code_and_message(self, dataset, tmp_path, capsys, command):
+        odd = dataset / "features" / "odd.feat"
+        write_features(FeatureMatrix("odd", np.ones((16, 6)), 256), odd)
+        manifest = dataset / "mixed.txt"
+        manifest.write_text("features/pos000.feat 1\nfeatures/odd.feat 1\nfeatures/neg000.feat 0\n")
+        out = tmp_path / "out"
+        assert main([command, "--manifest", str(manifest),
+                     *([] if command == "ingest-check" else ["--out", str(out)])]) == 5
+        assert capsys.readouterr().err == f"error: {odd.resolve()}: dim 6 differs from first video's 8\n"
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -434,6 +462,37 @@ class TestTrain:
         probe = (run / "probe_scores.csv").read_text().splitlines()
         assert probe[0] == "iteration,segment_index,score"
         assert len(probe) == 1 + 2 * 8
+
+    @pytest.mark.parametrize("iters, saved", [(6, [3, 6]), (7, [3, 6, 7])])
+    def test_each_checkpoint_saved_once(self, dataset, tmp_path, monkeypatch, iters, saved):
+        names = []
+
+        def recording(model, path):
+            names.append(path.name)
+            save_checkpoint(model, path)
+
+        monkeypatch.setattr(_commands, "save_checkpoint", recording)
+        assert main(["train", "--manifest", str(dataset / "manifest.txt"), "--out", str(tmp_path / "run"),
+                     "--iters", str(iters), "--batch", "3", "--segments", "8", "--hidden1", "4",
+                     "--hidden2", "2", "--snapshot-every", "3"]) == 0
+        assert names == [f"ckpt_{it}.bin" for it in saved]
+
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--lr", "inf", "learning_rate must be positive"),
+        ("--lr", "nan", "learning_rate must be positive"),
+        ("--epsilon", "inf", "adagrad_epsilon must be positive"),
+        ("--lambda1", "inf", "smoothness_weight must be non-negative"),
+        ("--lambda2", "nan", "sparsity_weight must be non-negative"),
+        ("--weight-decay", "inf", "weight_decay must be non-negative"),
+        ("--margin", "nan", "margin must be positive"),
+    ])
+    def test_non_finite_setting_is_usage_error(self, dataset, tmp_path, capsys, flag, value, rule):
+        run = tmp_path / "run"
+        assert main(["train", "--manifest", str(dataset / "manifest.txt"), "--out", str(run),
+                     "--iters", "2", "--batch", "3", "--segments", "8", "--hidden1", "4",
+                     "--hidden2", "2", flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {rule} and finite, got {value}\n"
+        assert not run.exists()
 
     DIVERGING = ["--iters", "5", "--lr", "1e308", "--batch", "3", "--segments", "8",
                  "--hidden1", "16", "--hidden2", "4"]
@@ -669,6 +728,19 @@ class TestBaselineCommands:
         assert code == 0
         assert "AUC" in capsys.readouterr().out
         assert (out / "roc.csv").is_file()
+
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--c-reg", "nan", "c_reg must be positive"),
+        ("--c-reg", "inf", "c_reg must be positive"),
+        ("--lr", "inf", "learning_rate must be positive"),
+        ("--lr", "nan", "learning_rate must be positive"),
+    ])
+    def test_non_finite_setting_is_usage_error(self, dataset, tmp_path, capsys, flag, value, rule):
+        model_path = tmp_path / "baseline.json"
+        assert main(["baseline-train", "--manifest", str(dataset / "manifest.txt"),
+                     "--out", str(model_path), "--epochs", "5", flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {rule} and finite, got {value}\n"
+        assert not model_path.exists()
 
 
 class TestBaselineCheckpoint:

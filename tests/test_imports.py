@@ -1,10 +1,12 @@
 """Import hygiene of the package and its tests.
 
-No linter runs with the tests, so AST scans stand in for two checks: an
+No linter runs with the tests, so AST scans stand in for three checks: an
 imported name must be referenced somewhere in its module (as a name or the
-root of an attribute chain), and a top-level function in ``tests/`` other
-than a test or a pytest fixture must be named (as a name or an attribute)
-in some test file.  Imports from ``__future__`` are exempt.
+root of an attribute chain); a top-level function in ``tests/`` other than
+a test or a pytest fixture must be named (as a name or an attribute) in
+some test file; and a top-level function of the package must be named in
+some file under ``src/`` or ``bench/``, since one that only tests call is
+code no program path needs.  Imports from ``__future__`` are exempt.
 
 The package ``__init__`` imports no submodule, so nothing fixes the order
 in which they load.  Each one is imported alone in a fresh interpreter:
@@ -22,6 +24,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "milrank").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
 SCANNED = PACKAGE + TESTS
 
 
@@ -74,15 +77,23 @@ def named(tree):
     return used_names(tree) | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
-def dead_helpers(trees):
-    names = set().union(*map(named, trees.values()))
+def dead_helpers(trees, naming_trees=None):
+    """Helpers defined in ``trees`` that no tree of ``naming_trees`` (default ``trees``) names."""
+    names = set().union(*map(named, (naming_trees or trees).values()))
     return [f"{path}:{lineno}: {name}"
             for path, tree in trees.items() for lineno, name in helper_functions(tree) if name not in names]
 
 
+def parsed(paths):
+    return {path.relative_to(ROOT): ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+
+
 def test_no_dead_test_helpers():
-    trees = {path.relative_to(ROOT): ast.parse(path.read_text(encoding="utf-8")) for path in TESTS}
-    assert dead_helpers(trees) == []
+    assert dead_helpers(parsed(TESTS)) == []
+
+
+def test_no_dead_package_functions():
+    assert dead_helpers(parsed(PACKAGE), parsed(PACKAGE + BENCH)) == []
 
 
 def test_scan_sees_a_dead_helper():
@@ -92,6 +103,16 @@ def test_scan_sees_a_dead_helper():
     tests = "from helpers import used\ndef test_x(data, model):\n    used(oracle.by_attribute())\n"
     trees = {"helpers.py": ast.parse(helpers), "test_x.py": ast.parse(tests)}
     assert dead_helpers(trees) == ["helpers.py:9: dead"]
+
+
+def test_scan_sees_a_dead_package_function():
+    module = "def run(): helper()\ndef helper(): pass\ndef benched(): pass\ndef tested(): pass\n"
+    package = {"pkg.py": ast.parse(module), "cli.py": ast.parse("from pkg import run\nrun()\n")}
+    bench = {"bench.py": ast.parse("import pkg\npkg.benched()\n")}
+    tests = {"test_pkg.py": ast.parse("from pkg import tested\ndef test_x():\n    tested()\n")}
+    # a call from a test is not a program path
+    assert dead_helpers(package, {**package, **bench}) == ["pkg.py:4: tested"]
+    assert dead_helpers(package, {**package, **bench, **tests}) == []
 
 
 @pytest.mark.parametrize("module", [

@@ -6,7 +6,7 @@ import pytest
 
 import milrank.optim as optim_module
 from loss_oracle import oracle_batch
-from milrank.exceptions import DataError, NonFiniteLossError
+from milrank.exceptions import DataError, DimensionMismatchError, NonFiniteLossError
 from milrank.features import Bag
 from milrank.loss import LossParams, weight_decay_grads, weight_decay_term
 from milrank.network import backward, dropout_masks, forward_with_masks, init_model
@@ -200,6 +200,13 @@ class TestTrainLoop:
         bad_pos, _ = toy_bags(1, 1, m=6)
         with pytest.raises(ValueError):
             train_on_bags(bad_pos + pos[1:], neg, toy_config())
+
+    def test_mismatched_bag_dim_rejected(self):
+        # a caller that builds its own bags skips load_videos' dimension check
+        pos, neg = toy_bags(4, 4, dim=6)
+        _, odd_neg = toy_bags(0, 1, dim=5)
+        with pytest.raises(DimensionMismatchError, match="bag n0 has dim 5, expected 6"):
+            train_on_bags(pos, neg[:2] + odd_neg + neg[3:], toy_config())
 
     @pytest.mark.parametrize("odd, rest", [(np.float32, np.float64), (np.float64, np.float32)])
     @pytest.mark.parametrize("where", ["first positive", "a negative"])
