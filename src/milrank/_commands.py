@@ -23,7 +23,7 @@ from .exceptions import (
     MetricError,
     NonFiniteLossError,
 )
-from .features import DEFAULT_SEGMENTS, load_features, load_manifest, load_videos
+from .features import DEFAULT_SEGMENTS, check_segment_count, load_features, load_manifest, load_videos
 from .loss import LossParams
 from .metrics import (
     check_threshold,
@@ -105,15 +105,18 @@ BASELINE_FLAGS = (
 BASELINE_CALLEES = (fit_linear,)
 
 
-def _parse_config_file(path: Path, keys) -> dict[str, str]:
+def _parse_config_file(path: Path, types: dict) -> dict:
     values = {}
     for lineno, text in content_lines(path):
         if "=" not in text:
             raise ValueError(f"{path}: line {lineno}: expected key=value")
         key, value = (part.strip() for part in text.split("=", 1))
-        if key not in keys:
+        if key not in types:
             raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
-        values[key] = value
+        try:
+            values[key] = types[key](value)
+        except ValueError as e:
+            raise ValueError(f"{path}: line {lineno}: {key}: {e}") from None
     return values
 
 
@@ -142,13 +145,14 @@ def _settings(args, flags, callees) -> list[dict]:
 
     Settings given neither way are left out, so the callees' defaults apply.
     """
-    config = _parse_config_file(args.config, [flag for flag, _, _ in flags]) if args.config else {}
     defaults = _defaults(callees)
+    types = {flag: _flag_type(defaults[names[0]]) for flag, names, _ in flags}
+    config = _parse_config_file(args.config, types) if args.config else {}
     values = {}
     for flag, names, _ in flags:
         value = getattr(args, flag.replace("-", "_"))
-        if value is None and flag in config:
-            value = _flag_type(defaults[names[0]])(config[flag])
+        if value is None:
+            value = config.get(flag)
         if value is not None:
             values.update(dict.fromkeys(names, value))
     return [{name: values[name] for name in inspect.signature(callee).parameters if name in values}
@@ -199,6 +203,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
+    check_segment_count(args.segments)  # before any file is read
     model = load_checkpoint(args.checkpoint)
     f = load_features(args.features, args.format)
     segment_scores, timeline = score_video(model, f, args.segments)
@@ -214,6 +219,7 @@ def cmd_score(args) -> int:
 def cmd_eval(args) -> int:
     """``eval`` scores with an MLP checkpoint, ``baseline-eval`` with a linear model."""
     check_threshold(args.threshold)  # before any file is read
+    check_segment_count(args.segments)
     if args.command == "eval":
         model = load_checkpoint(args.checkpoint)
         scorer = lambda f: score_video(model, f, args.segments)[0]

@@ -21,7 +21,7 @@ import numpy as np
 from .exceptions import DataError, DimensionMismatchError, FormatError
 from .features import DEFAULT_SEGMENTS, DatasetManifest, FeatureMatrix, load_videos, make_bag, normalized_means
 from .network import sigmoid
-from .validation import check_feature_array, check_setting, json_number, json_numbers, read_json, write_json
+from .validation import check_feature_array, check_settings, json_number, json_numbers, read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,7 @@ def fit_linear(X, y, c_reg: float = 1.0, epochs: int = 1000,
 
     ``y`` may be 0/1 or -1/+1; it is mapped to -1/+1 internally.
     """
+    check_settings({"c_reg": c_reg, "epochs": epochs, "learning_rate": learning_rate})
     X = check_feature_array(X, name="X")
     y = np.asarray(y)
     if y.shape != (X.shape[0],):
@@ -55,8 +56,6 @@ def fit_linear(X, y, c_reg: float = 1.0, epochs: int = 1000,
     signs = np.where(y > 0, 1.0, -1.0)
     if len(np.unique(signs)) < 2:
         raise DataError("training data contains a single class")
-    for name, value in (("c_reg", c_reg), ("epochs", epochs), ("learning_rate", learning_rate)):
-        check_setting(name, value)
 
     k = X.shape[0]
     w = np.zeros(X.shape[1])
@@ -72,7 +71,8 @@ def fit_linear(X, y, c_reg: float = 1.0, epochs: int = 1000,
 
 
 def train_linear(manifest: DatasetManifest, **fit_params) -> LinearModel:
-    """Fit the baseline on a manifest's videos; ``fit_params`` go to ``fit_linear``."""
+    """Fit the baseline on a manifest's videos; ``fit_params`` go to ``fit_linear``, checked first."""
+    check_settings(fit_params)
     rows = []
     for _, f in load_videos(manifest):
         rows.append(video_feature(f))

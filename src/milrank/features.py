@@ -67,8 +67,6 @@ class Bag:
     def __post_init__(self):
         if self.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {self.label}")
-        if self.segments.shape[0] < 2:
-            raise ValueError("a bag needs at least 2 segments")
 
     @property
     def n_segments(self) -> int:
@@ -237,14 +235,19 @@ def normalized_means(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> 
     return np.divide(means, counts[:, None], out=means)
 
 
+def check_segment_count(m: int) -> None:
+    """Raise a ValueError unless ``m`` is a bag's segment count: at least 2."""
+    if m < 2:
+        raise ValueError(f"segment count must be at least 2, got {m}")
+
+
 def make_bag(f: FeatureMatrix, label: int, m: int = DEFAULT_SEGMENTS) -> Bag:
     """Normalize, segment, and label a video's features: segment g averages
     group g of ``segment_bounds(n_clips, m)``.  With fewer clips than
     segments, every group holds at most one clip, and an empty group [s, s)
     takes clip s-1 (leading empties clip 0), so a bag always has ``m`` rows.
     """
-    if m < 2:
-        raise ValueError(f"segment count must be at least 2, got {m}")
+    check_segment_count(m)
     bounds = segment_bounds(f.n_clips, m)
     starts = np.minimum(bounds[:-1], np.maximum(bounds[1:] - 1, 0))
     return Bag(f.video_id, label, normalized_means(f.data, starts, np.maximum(bounds[1:], 1)))

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .features import check_segment_count
 from .network import MlpModel
-from .validation import check_score_vector, check_setting
+from .validation import check_score_vector, check_settings
 
 
 @dataclass(frozen=True)
@@ -32,8 +33,7 @@ class LossParams:
     margin: float = 1.0
 
     def __post_init__(self):
-        for name in ("smoothness_weight", "sparsity_weight", "weight_decay", "margin"):
-            check_setting(name, getattr(self, name), zero_ok=name != "margin")
+        check_settings(vars(self), zero_ok=("smoothness_weight", "sparsity_weight", "weight_decay"))
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,7 @@ def _check_batch(S_pos, S_neg) -> tuple[np.ndarray, np.ndarray]:
     if p.ndim != 2 or p.shape != q.shape or p.shape[0] < 1:
         raise ValueError(f"score matrices must be non-empty, 2-D and of one shape, "
                          f"got {p.shape} and {q.shape}")
-    if p.shape[1] < 2:
-        raise ValueError("bags need at least 2 segments")
+    check_segment_count(p.shape[1])
     check_score_vector(np.concatenate((p, q)).ravel(), name="scores")
     return p, q
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from .exceptions import FormatError
 from .rng import STREAM_DROPOUT, STREAM_INIT, derive_rng
-from .validation import check_feature_array, json_number, read_json, write_json
+from .validation import check_feature_array, check_settings, json_number, read_json, write_json
 
 PARAM_FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
 CHECKPOINT_VERSION = 3
@@ -76,12 +76,8 @@ class MlpModel:
 
     def __post_init__(self):
         h1, d = self.w1.shape
-        h2 = self.w2.shape[0]
-        if min(d, h1, h2) < 1:
-            raise ValueError("layer widths must be positive")
-        if not (0.0 <= self.dropout_rate < 1.0):
-            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        for name, shape in param_shapes(d, h1, h2).items():
+        check_dropout_rate(self.dropout_rate)
+        for name, shape in param_shapes(d, h1, self.w2.shape[0]).items():
             if getattr(self, name).shape != shape:
                 raise ValueError(f"parameter {name} has shape {getattr(self, name).shape}, expected {shape}")
             if not np.isfinite(getattr(self, name)).all():
@@ -104,9 +100,16 @@ class MlpModel:
 
 
 def param_shapes(dim: int, hidden1: int, hidden2: int) -> dict[str, tuple[int, ...]]:
-    """The shape of each parameter of a dim-hidden1-hidden2-1 network, in ``PARAM_FIELDS`` order."""
+    """The ``PARAM_FIELDS`` shapes of a dim-hidden1-hidden2-1 network; a width below 1 raises ValueError."""
+    check_settings({"dim": dim, "hidden1": hidden1, "hidden2": hidden2})
     return {"w1": (hidden1, dim), "b1": (hidden1,), "w2": (hidden2, hidden1), "b2": (hidden2,),
             "w3": (1, hidden2), "b3": (1,)}
+
+
+def check_dropout_rate(rate: float) -> None:
+    """Raise a ValueError unless ``rate`` lies in [0, 1)."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout_rate must be in [0, 1), got {rate}")
 
 
 class Workspace:
@@ -195,8 +198,7 @@ def init_model(dim: int, seed: int, hidden1: int = DEFAULT_HIDDEN1, hidden2: int
     rng = derive_rng(seed, STREAM_INIT)
     params = {}
     for name, shape in param_shapes(dim, hidden1, hidden2).items():  # draws w1, w2, w3 in turn
-        # fan_out + fan_in; MlpModel rejects a width below 1, max() keeps a zero fan from dividing first
-        limit = np.sqrt(6.0 / max(sum(shape), 1))
+        limit = np.sqrt(6.0 / sum(shape))  # fan_out + fan_in
         params[name] = rng.uniform(-limit, limit, size=shape) if len(shape) == 2 else np.zeros(shape)
     return MlpModel(dropout_rate=dropout_rate, **params)
 
@@ -344,12 +346,12 @@ def save_checkpoint(model: MlpModel, path) -> None:
 def load_checkpoint(path) -> MlpModel:
     """Read a checkpoint that ``save_checkpoint`` wrote.
 
-    Header fields must be JSON numbers (integers for ``version``, ``dim``
-    and ``widths``), and only version 3 is read.  Exactly ``8 * n`` bytes
-    must follow the header line, for the ``n`` values of the shapes the
-    header implies, and every value must be finite.  Anything else raises
-    FormatError.  The six parameters are views of one float64 array, read
-    straight from the file.
+    Header fields must be JSON numbers (integers for ``version``, positive
+    ones for ``dim`` and ``widths``), and only version 3 is read.  Exactly
+    ``8 * n`` bytes must follow the header line, for the ``n`` values of the
+    shapes the header implies, and every value must be finite.  Anything
+    else raises FormatError.  The six parameters are views of one float64
+    array, read straight from the file.
     """
     path = Path(path)
     with open(path, "rb") as f:
@@ -369,11 +371,9 @@ def load_checkpoint(path) -> MlpModel:
             dim = json_number(header["dim"], integer=True)
             h1, h2 = (json_number(w, integer=True) for w in header["widths"])
             dropout_rate = float(json_number(header["dropout_rate"]))
+            shapes = param_shapes(dim, h1, h2)
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise FormatError(path, "header", f"missing or malformed field: {e}") from None
-        if min(dim, h1, h2) < 0:
-            raise FormatError(path, "header", "negative layer width")
-        shapes = param_shapes(dim, h1, h2)
         sizes = [math.prod(shape) for shape in shapes.values()]
         n = sum(sizes)
         got = os.fstat(f.fileno()).st_size - len(line)

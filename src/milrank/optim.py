@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DataError, DimensionMismatchError, NonFiniteLossError
-from .features import DEFAULT_SEGMENTS, Bag, DatasetManifest, load_bags
+from .features import DEFAULT_SEGMENTS, Bag, DatasetManifest, check_segment_count, load_bags
 from .loss import LossParams, ranking_loss_and_grad, weight_decay_grads, weight_decay_term
 from .network import (
     DEFAULT_DROPOUT,
@@ -36,6 +36,7 @@ from .network import (
     MlpModel,
     Workspace,
     backward,
+    check_dropout_rate,
     clone_with_params,
     dropout_masks,
     forward,
@@ -43,7 +44,7 @@ from .network import (
     init_model,
 )
 from .rng import STREAM_SAMPLER, derive_rng, mix_to_seed
-from .validation import check_setting, csv_lines
+from .validation import check_settings, csv_lines
 
 LOG_HEADER = "iteration,loss,hinge_mean,smooth_mean,sparse_mean,reg"
 PROBE_HEADER = "iteration,segment_index,score"
@@ -73,24 +74,15 @@ class TrainConfig:
     threads: int = DEFAULT_THREADS  # workers splitting the layer-1 GEMMs; outputs do not depend on it
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be at least 1, got {self.iterations}")
-        if self.batch_pos < 1 or self.batch_neg < 1:
-            raise ValueError("batch sizes must be positive")
+        check_settings({name: getattr(self, name) for name in (
+            "iterations", "seed", "batch_pos", "batch_neg", "learning_rate", "adagrad_epsilon", "snapshot_every",
+            "hidden1", "hidden2", "threads")}, zero_ok=("seed", "snapshot_every"))
         if self.batch_pos != self.batch_neg:
             raise ValueError("batch_pos and batch_neg must be equal (bags are paired one-to-one)")
-        if self.segments_per_bag < 2:
-            raise ValueError("segments_per_bag must be at least 2")
-        for name in ("learning_rate", "adagrad_epsilon"):
-            check_setting(name, getattr(self, name))
-        if self.snapshot_every < 0:
-            raise ValueError("snapshot_every must be non-negative")
+        check_segment_count(self.segments_per_bag)
+        check_dropout_rate(self.dropout_rate)
         if self.probe_video_id is not None and not self.snapshot_every:
             raise ValueError("a probe video needs snapshot_every > 0")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.threads < 1:
-            raise ValueError(f"threads must be at least 1, got {self.threads}")
 
 
 @dataclass
@@ -138,13 +130,9 @@ def sample_pair_indices(n_pos: int, n_neg: int, cfg: TrainConfig,
                         iteration: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the bags paired at this iteration.
 
-    Uniform without replacement within the batch, seeded by
-    (cfg.seed, iteration), already in shuffled pairing order.
+    Uniform without replacement within the batch, seeded by (cfg.seed, iteration), already in
+    shuffled pairing order.  ``train_on_bags`` has checked that each class has a batch of bags.
     """
-    if n_pos < cfg.batch_pos:
-        raise DataError(f"need at least {cfg.batch_pos} positive bags, have {n_pos}")
-    if n_neg < cfg.batch_neg:
-        raise DataError(f"need at least {cfg.batch_neg} negative bags, have {n_neg}")
     rng = derive_rng(cfg.seed, STREAM_SAMPLER, iteration)
     pos_idx = rng.choice(n_pos, size=cfg.batch_pos, replace=False)
     neg_idx = rng.choice(n_neg, size=cfg.batch_neg, replace=False)
@@ -182,8 +170,9 @@ def train_on_bags(pos_bags: list[Bag], neg_bags: list[Bag], cfg: TrainConfig,
     ``snapshot_hook(iteration, model)``, if given, fires at every
     ``snapshot_every`` multiple alongside the probe-score snapshot.
     """
-    if not pos_bags or not neg_bags:
-        raise DataError("training needs at least one positive and one negative bag")
+    for kind, bags, batch in (("positive", pos_bags, cfg.batch_pos), ("negative", neg_bags, cfg.batch_neg)):
+        if len(bags) < batch:
+            raise DataError(f"need at least {batch} {kind} bags, have {len(bags)}")
     dim = pos_bags[0].segments.shape[1]
     dtype = pos_bags[0].segments.dtype
     for bag in pos_bags + neg_bags:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .features import FRAMES_PER_CLIP, FeatureMatrix, write_features
 from .rng import STREAM_SYNTH, derive_rng
-from .validation import check_setting, csv_lines, write_lines
+from .validation import check_settings, csv_lines, write_lines
 
 ANNOTATION_SLOTS = 2  # pad every annotation line to this many interval pairs
 
@@ -34,18 +34,13 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_pos_videos < 1 or self.n_neg_videos < 1:
-            raise ValueError("video counts must be positive")
-        if self.dim < 1 or self.clips_per_video < 1:
-            raise ValueError("dim and clips_per_video must be positive")
+        check_settings({name: getattr(self, name) for name in (
+            "n_pos_videos", "n_neg_videos", "dim", "clips_per_video", "separation", "noise_sigma", "seed")},
+            zero_ok=("separation", "seed"))
         if not (0.0 < self.anomaly_fraction < 1.0):
             raise ValueError("anomaly_fraction must be in (0, 1)")
         if self.anomaly_fraction * self.clips_per_video < 1.0:
             raise ValueError("anomaly_fraction * clips_per_video must be at least 1")
-        check_setting("separation", self.separation, zero_ok=True)
-        check_setting("noise_sigma", self.noise_sigma)
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -80,10 +80,13 @@ def content_lines(path):
             yield lineno, text
 
 
-def check_setting(name: str, value, *, zero_ok: bool = False) -> None:
-    """Raise a ValueError naming a setting that is NaN, infinite, negative, or zero unless ``zero_ok``."""
-    if not ((value >= 0 if zero_ok else value > 0) and value < np.inf):
-        raise ValueError(f"{name} must be {'non-negative' if zero_ok else 'positive'} and finite, got {value}")
+def check_settings(settings: dict, zero_ok=()) -> None:
+    """Raise a ValueError naming the first of ``settings`` (name: value) that is NaN,
+    infinite, negative, or zero unless its name is in ``zero_ok``."""
+    for name, value in settings.items():
+        if not ((value >= 0 if name in zero_ok else value > 0) and value < np.inf):
+            raise ValueError(f"{name} must be {'non-negative' if name in zero_ok else 'positive'} "
+                             f"and finite, got {value}")
 
 
 def check_feature_array(X, *, dim: int | None = None, name: str = "X") -> np.ndarray:

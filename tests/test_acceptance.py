@@ -9,7 +9,6 @@ within a few minutes single-threaded.
 import hashlib
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,16 +63,25 @@ def dataset(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def trained(dataset):
+    """c04's model, and c07's constrained one, from one run.
+
+    Sampling and dropout are keyed by (seed, iteration), never by the
+    iteration count, so iteration 2000 of the constrained 4000-iteration run
+    is, bit for bit, the model a 2000-iteration run ends with.  ``elapsed``
+    times exactly those first 2000 iterations."""
     manifest = load_manifest(dataset.manifest_path, "train")
+    snapshots = {}
     start = time.perf_counter()
-    model, log = train(manifest, acceptance_config())
-    elapsed = time.perf_counter() - start
+    constrained, _ = train(manifest, acceptance_config(iterations=CONSTRAINT_ITERATIONS, snapshot_every=2000),
+                           snapshot_hook=lambda it, model: snapshots.setdefault(it, (model, time.perf_counter())))
+    model, stop = snapshots[2000]
+    elapsed = stop - start
     test_manifest = load_manifest(dataset.test_manifest_path, "test")
     evaluation = evaluate_manifest(
         test_manifest, lambda f: score_video(model, f, 32)[0], m=32)
     return {
         "model": model,
-        "log": log,
+        "constrained": constrained,
         "elapsed": elapsed,
         "evaluation": evaluation,
         "train_manifest": manifest,
@@ -225,9 +233,9 @@ def test_c06_chance_level_control(tmp_path_factory):
 
 def test_c07_constraint_effect(trained):
     manifest = trained["train_manifest"]
-    cfg = acceptance_config(iterations=CONSTRAINT_ITERATIONS)
-    constrained, _ = train(manifest, cfg)
-    bare = replace(cfg, loss_params=LossParams(smoothness_weight=0.0, sparsity_weight=0.0))
+    constrained = trained["constrained"]
+    bare = acceptance_config(iterations=CONSTRAINT_ITERATIONS,
+                             loss_params=LossParams(smoothness_weight=0.0, sparsity_weight=0.0))
     unconstrained, _ = train(manifest, bare)
 
     pos_bags = [b for b in load_bags(manifest, 32) if b.label == 1]

@@ -399,6 +399,21 @@ class TestDefaultsFromConfig:
         assert capsys.readouterr().err == f"error: {cfg}: line 2: unknown key {key!r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, line, error", [
+        (["train"], "iters=abc", "iters: invalid literal for int() with base 10: 'abc'"),
+        (["synth"], "separation=", "separation: could not convert string to float: ''"),
+        (["baseline-train"], "epochs=2.5", "epochs: invalid literal for int() with base 10: '2.5'"),
+    ])
+    def test_bad_config_value_names_path_line_and_key(self, dataset, tmp_path, capsys, argv, line,
+                                                      error):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# one bad value\n{line}\n")
+        manifest = [] if argv[0] == "synth" else ["--manifest", str(dataset / "manifest.txt")]
+        out = tmp_path / "out"
+        assert main([*argv, *manifest, "--out", str(out), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: line 2: {error}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["ingest-check", "score", "eval", "baseline-eval"])
     def test_config_refused_without_settings(self, dataset, tmp_path, capsys, command):
         # these commands have no setting a config file could hold, so they do not take one
@@ -426,6 +441,87 @@ class TestDefaultsFromConfig:
         assert f"milrank {command}: error: unrecognized arguments: --config {cfg}\n" in err
         assert not (tmp_path / "out").exists()
         assert main([*argv, *out]) == 0
+
+
+# One bad value for each setting flag of each command, and the one stderr line it
+# gives; --probe takes any string.  A flag missing here fails TestEarlyRefusal.
+BAD_SETTINGS = {
+    ("train", "iters"): ("0", "iterations must be positive and finite, got 0"),
+    ("train", "seed"): ("-1", "seed must be non-negative and finite, got -1"),
+    ("train", "batch"): ("0", "batch_pos must be positive and finite, got 0"),
+    ("train", "segments"): ("1", "segment count must be at least 2, got 1"),
+    ("train", "lr"): ("0", "learning_rate must be positive and finite, got 0.0"),
+    ("train", "epsilon"): ("nan", "adagrad_epsilon must be positive and finite, got nan"),
+    ("train", "lambda1"): ("-1", "smoothness_weight must be non-negative and finite, got -1.0"),
+    ("train", "lambda2"): ("inf", "sparsity_weight must be non-negative and finite, got inf"),
+    ("train", "weight-decay"): ("-0.5", "weight_decay must be non-negative and finite, got -0.5"),
+    ("train", "margin"): ("0", "margin must be positive and finite, got 0.0"),
+    ("train", "dropout"): ("1", "dropout_rate must be in [0, 1), got 1.0"),
+    ("train", "hidden1"): ("0", "hidden1 must be positive and finite, got 0"),
+    ("train", "hidden2"): ("-1", "hidden2 must be positive and finite, got -1"),
+    ("train", "snapshot-every"): ("-1", "snapshot_every must be non-negative and finite, got -1"),
+    ("train", "threads"): ("0", "threads must be positive and finite, got 0"),
+    ("synth", "pos"): ("0", "n_pos_videos must be positive and finite, got 0"),
+    ("synth", "neg"): ("-2", "n_neg_videos must be positive and finite, got -2"),
+    ("synth", "dim"): ("0", "dim must be positive and finite, got 0"),
+    ("synth", "clips"): ("0", "clips_per_video must be positive and finite, got 0"),
+    ("synth", "anomaly-fraction"): ("1", "anomaly_fraction must be in (0, 1)"),
+    ("synth", "separation"): ("-1", "separation must be non-negative and finite, got -1.0"),
+    ("synth", "noise-sigma"): ("0", "noise_sigma must be positive and finite, got 0.0"),
+    ("synth", "seed"): ("-1", "seed must be non-negative and finite, got -1"),
+    ("synth", "test-pos"): ("-1", "test_pos and test_neg must both be zero or both positive"),
+    ("synth", "test-neg"): ("2", "test_pos and test_neg must both be zero or both positive"),
+    ("baseline-train", "c-reg"): ("0", "c_reg must be positive and finite, got 0.0"),
+    ("baseline-train", "epochs"): ("0", "epochs must be positive and finite, got 0"),
+    ("baseline-train", "lr"): ("-1", "learning_rate must be positive and finite, got -1.0"),
+    **{(command, "segments"): ("1", "segment count must be at least 2, got 1")
+       for command in ("score", "eval", "baseline-eval")},
+    **{(command, "threshold"): ("nan", "threshold must be finite, got nan")
+       for command in ("eval", "baseline-eval")},
+}
+
+
+class TestEarlyRefusal:
+    """Every numeric setting of every command is refused before any feature,
+    checkpoint or model file is read: each command's inputs here would exit 3
+    if they were read."""
+
+    SETTING_FLAGS = [(command, flag) for command, flags in (("train", _commands.TRAIN_FLAGS),
+                                                            ("synth", _commands.SYNTH_FLAGS),
+                                                            ("baseline-train", _commands.BASELINE_FLAGS))
+                     for flag, _, _ in flags if flag != "probe"]
+    SETTING_FLAGS += [(command, "segments") for command in ("score", "eval", "baseline-eval")]
+    SETTING_FLAGS += [(command, "threshold") for command in ("eval", "baseline-eval")]
+
+    @pytest.fixture
+    def argv(self, tmp_path):
+        """Each command with a manifest of zero-byte feature files, a missing
+        checkpoint or model, and ``tmp_path / "out"`` as its output."""
+        for name in ("a.feat", "b.feat"):
+            (tmp_path / name).write_bytes(b"")
+        manifest = ["--manifest", str(tmp_path / "manifest.txt")]
+        (tmp_path / "manifest.txt").write_text("a.feat 1\nb.feat 0\n")
+        missing = str(tmp_path / "missing.bin")
+        out = ["--out", str(tmp_path / "out")]
+        return {"train": ["train", *manifest, *out],
+                "synth": ["synth", *out],
+                "baseline-train": ["baseline-train", *manifest, *out],
+                "score": ["score", "--checkpoint", missing, "--features", str(tmp_path / "a.feat"), *out],
+                "eval": ["eval", "--checkpoint", missing, *manifest, *out],
+                "baseline-eval": ["baseline-eval", "--model", missing, *manifest, *out]}
+
+    @pytest.mark.parametrize("command", ["train", "baseline-train", "score", "eval", "baseline-eval"])
+    def test_inputs_would_exit_3(self, argv, tmp_path, capsys, command):
+        assert main(argv[command]) == 3
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag", SETTING_FLAGS)
+    def test_bad_setting_refused_before_reading(self, argv, tmp_path, capsys, command, flag):
+        assert (command, flag) in BAD_SETTINGS, f"no bad value listed for {command} --{flag}"
+        value, error = BAD_SETTINGS[command, flag]
+        assert main([*argv[command], f"--{flag}={value}"]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestTrain:
@@ -825,7 +921,7 @@ class TestThreadPeek:
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_non_positive_threads_is_usage_error(self, train_config, tmp_path, capsys, value):
         assert train_config("--threads", value) == (2, None)
-        assert f"error: threads must be at least 1, got {value}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: threads must be positive and finite, got {value}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.fixture

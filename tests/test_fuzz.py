@@ -176,8 +176,10 @@ class TestCheckpoints:
         doc = json.loads(header)
         doc.update(dim=-1, widths=[-1, -1])
         (workdir / "x_mlp.bin").write_bytes(json.dumps(doc).encode() + b"\n" + payload)
-        with pytest.raises(FormatError, match="negative"):
+        with pytest.raises(FormatError) as exc:
             load_checkpoint(workdir / "x_mlp.bin")
+        assert str(exc.value) == (f"{workdir / 'x_mlp.bin'}: header: missing or malformed field: "
+                                  "dim must be positive and finite, got -1")
 
     @FUZZ
     @given(data=st.data())

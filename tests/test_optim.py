@@ -107,13 +107,6 @@ class TestSampler:
         assert sorted(pos_idx) == list(range(30))
         assert sorted(neg_idx) == list(range(30))
 
-    def test_insufficient_bags(self):
-        cfg = toy_config(batch_pos=5, batch_neg=5)
-        with pytest.raises(DataError):
-            sample_pair_indices(4, 10, cfg, 1)
-        with pytest.raises(DataError):
-            sample_pair_indices(10, 4, cfg, 1)
-
     def test_selection_frequencies_uniform(self):
         # each positive bag is a Binomial(T, 0.3) draw; check each count
         # within 3 sigma and the aggregate chi-square statistic (with 100
@@ -141,6 +134,14 @@ class TestTrainLoop:
         model, log = train_on_bags(pos, neg, toy_config(iterations=7))
         assert len(log.rows) == 7
         assert [row[0] for row in log.rows] == list(range(1, 8))
+
+    def test_insufficient_bags(self):
+        # checked once, before the first step samples a batch
+        cfg = toy_config(batch_pos=5, batch_neg=5)
+        for pos, neg, error in ((4, 10, "need at least 5 positive bags, have 4"),
+                                (10, 4, "need at least 5 negative bags, have 4")):
+            with pytest.raises(DataError, match=f"^{error}$"):
+                train_on_bags(*toy_bags(pos, neg), cfg)
 
     def test_zero_iterations_rejected(self):
         with pytest.raises(ValueError):
@@ -180,6 +181,17 @@ class TestTrainLoop:
         cfg = toy_config(iterations=5, snapshot_every=2)
         train_on_bags(pos, neg, cfg, snapshot_hook=lambda it, model: seen.append(it))
         assert seen == [2, 4]
+
+    def test_snapshot_is_the_shorter_runs_model(self):
+        # steps are keyed by (seed, iteration), not by the iteration count, so the
+        # acceptance suite takes c04's 2000-iteration model from c07's longer run
+        pos, neg = toy_bags(4, 4)
+        snapshots = {}
+        train_on_bags(pos, neg, toy_config(iterations=8, snapshot_every=4),
+                      snapshot_hook=lambda it, model: snapshots.setdefault(it, model))
+        short, _ = train_on_bags(pos, neg, toy_config(iterations=4))
+        for name, arr in short.params().items():
+            assert np.array_equal(arr, getattr(snapshots[4], name))
 
     def test_non_finite_loss_aborts_with_iteration(self, monkeypatch):
         pos, neg = toy_bags(4, 4)
@@ -222,7 +234,7 @@ class TestTrainLoop:
 
     def test_empty_class_rejected(self):
         pos, _ = toy_bags(4, 0)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^need at least 2 negative bags, have 0$"):
             train_on_bags(pos, [], toy_config())
 
 
