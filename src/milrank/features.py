@@ -11,8 +11,9 @@ supported:
 
 A FeatureMatrix holds the stored float32 values (from a binary file, a
 read-only view of its bytes); ``normalized_means`` widens them exactly to
-float64 means, which ``make_bag`` keeps for scoring and evaluation and
-``load_bags`` rounds once to float32 for the trainer's layer-1 GEMMs.
+float64 means, which ``make_bag`` returns.  ``load_bags`` rounds them once
+to float32 for the trainer's layer-1 GEMMs, and ``network.forward`` does
+the same for scoring and evaluation.
 """
 
 from __future__ import annotations

@@ -39,7 +39,6 @@ from .network import (
     check_dropout_rate,
     clone_with_params,
     dropout_masks,
-    forward,
     forward_with_masks,
     init_model,
 )
@@ -230,7 +229,9 @@ def train_on_bags(pos_bags: list[Bag], neg_bags: list[Bag], cfg: TrainConfig,
             ))
             if cfg.snapshot_every and it % cfg.snapshot_every == 0:
                 if probe_bag is not None:
-                    probe_scores = forward(model, probe_bag.segments)
+                    # the unmasked pass in the bags' dtype: ``forward``'s scores for float32
+                    # bags, without keeping a float32 copy of w1 on each snapshot's model
+                    probe_scores = forward_with_masks(model, probe_bag.segments, None, None)[0]
                     log.probe_rows.extend((it, seg, float(s)) for seg, s in enumerate(probe_scores))
                 if snapshot_hook is not None:
                     snapshot_hook(it, model)

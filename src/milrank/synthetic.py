@@ -38,7 +38,7 @@ class SynthSpec:
             "n_pos_videos", "n_neg_videos", "dim", "clips_per_video", "separation", "noise_sigma", "seed")},
             zero_ok=("separation", "seed"))
         if not (0.0 < self.anomaly_fraction < 1.0):
-            raise ValueError("anomaly_fraction must be in (0, 1)")
+            raise ValueError(f"anomaly_fraction must be in (0, 1), got {self.anomaly_fraction}")
         if self.anomaly_fraction * self.clips_per_video < 1.0:
             raise ValueError("anomaly_fraction * clips_per_video must be at least 1")
 
@@ -64,7 +64,7 @@ def generate(spec: SynthSpec, out_dir, test_pos: int = 0, test_neg: int = 0) -> 
     to the other.
     """
     if test_pos < 0 or test_neg < 0 or (test_pos > 0) != (test_neg > 0):
-        raise ValueError("test_pos and test_neg must both be zero or both positive")
+        raise ValueError(f"test_pos and test_neg must both be zero or both positive, got {test_pos} and {test_neg}")
     out_dir = Path(out_dir)
     features_dir = out_dir / "features"
     features_dir.mkdir(parents=True, exist_ok=True)

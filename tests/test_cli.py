@@ -465,12 +465,12 @@ BAD_SETTINGS = {
     ("synth", "neg"): ("-2", "n_neg_videos must be positive and finite, got -2"),
     ("synth", "dim"): ("0", "dim must be positive and finite, got 0"),
     ("synth", "clips"): ("0", "clips_per_video must be positive and finite, got 0"),
-    ("synth", "anomaly-fraction"): ("1", "anomaly_fraction must be in (0, 1)"),
+    ("synth", "anomaly-fraction"): ("1", "anomaly_fraction must be in (0, 1), got 1.0"),
     ("synth", "separation"): ("-1", "separation must be non-negative and finite, got -1.0"),
     ("synth", "noise-sigma"): ("0", "noise_sigma must be positive and finite, got 0.0"),
     ("synth", "seed"): ("-1", "seed must be non-negative and finite, got -1"),
-    ("synth", "test-pos"): ("-1", "test_pos and test_neg must both be zero or both positive"),
-    ("synth", "test-neg"): ("2", "test_pos and test_neg must both be zero or both positive"),
+    ("synth", "test-pos"): ("-1", "test_pos and test_neg must both be zero or both positive, got -1 and 0"),
+    ("synth", "test-neg"): ("2", "test_pos and test_neg must both be zero or both positive, got 0 and 2"),
     ("baseline-train", "c-reg"): ("0", "c_reg must be positive and finite, got 0.0"),
     ("baseline-train", "epochs"): ("0", "epochs must be positive and finite, got 0"),
     ("baseline-train", "lr"): ("-1", "learning_rate must be positive and finite, got -1.0"),
@@ -809,6 +809,32 @@ class TestEval:
         assert captured.err == 2 * f"error: threshold must be finite, got {float(threshold)}\n"
         assert captured.out == ""
         assert not out.exists()
+
+
+class TestScoreEvalRerun:
+    """``score`` and ``eval`` write byte-identical output trees on two runs over
+    the same inputs, as ``train`` does (c10); their scores come from a float32
+    layer-1 product."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(synth_args(data, pos=2, neg=2, dim=256, clips=40, seed=8,
+                               extra=["--test-pos", "3", "--test-neg", "3"])) == 0
+        ckpt = tmp_path / "m.bin"
+        save_checkpoint(init_model(256, seed=8), ckpt)
+        return data, ckpt
+
+    @pytest.mark.parametrize("command", ["score", "eval"])
+    def test_rerun_digest_identical(self, inputs, tmp_path, command):
+        data, ckpt = inputs
+        if command == "score":
+            source = ["--features", str(sorted((data / "features").glob("*.feat"))[0])]
+        else:
+            source = ["--manifest", str(data / "manifest_test.txt")]
+        for out in ("r1", "r2"):
+            assert main([command, "--checkpoint", str(ckpt), *source, "--out", str(tmp_path / out)]) == 0
+        assert tree_digest(tmp_path / "r1") == tree_digest(tmp_path / "r2")
 
 
 class TestBaselineCommands:

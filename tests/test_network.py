@@ -74,18 +74,19 @@ class TestForward:
         assert np.array_equal(scores, np.full(5, 0.5))
 
     def test_zero_dropout_train_equals_eval(self):
+        # eval rounds its inputs to float32, as training bags are
         model = tiny_model(dropout=0.0)
-        X = np.random.default_rng(1).standard_normal((4, 8))
+        X = np.random.default_rng(1).standard_normal((4, 8)).astype(np.float32)
         train_scores, _ = train_forward(model, X, 5)
         eval_scores = forward(model, X)
         assert np.array_equal(train_scores, eval_scores)
 
     def test_straight_line_oracle(self):
-        # re-evaluate the three matrix-vector chains with explicit loops
+        # re-evaluate the three matrix-vector chains of the float64 pass with explicit loops
         model = tiny_model(seed=11)
         rng = np.random.default_rng(2)
         X = rng.standard_normal((3, 8))
-        scores = forward(model, X)
+        scores, _ = unmasked_forward(model, X)
         for r in range(3):
             h1 = [max(0.0, sum(model.w1[i, j] * X[r, j] for j in range(8)) + model.b1[i])
                   for i in range(8)]
@@ -104,6 +105,25 @@ class TestForward:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             forward(tiny_model(), np.ones((2, 5)))
+
+    def test_value_past_float32_refused(self):
+        # finite in float64 but inf in float32; the cast's overflow warning must not escape
+        X = np.random.default_rng(4).standard_normal((3, 8))
+        X[1, 5] = 1e39
+        with pytest.raises(ValueError, match="segments contains values that overflow float32"):
+            forward(tiny_model(), X)
+
+    def test_float32_w1_made_once_on_first_use(self):
+        model = tiny_model(seed=7)
+        assert "w1_float32" not in vars(model)
+        X = np.random.default_rng(7).standard_normal((5, 8))
+        first = forward(model, X)
+        copy = vars(model)["w1_float32"]
+        assert copy.dtype == np.float32 and copy.tobytes() == model.w1.astype(np.float32).tobytes()
+        assert forward(model, X).tobytes() == first.tobytes()
+        assert vars(model)["w1_float32"] is copy
+        # a model with other weights makes its own copy
+        assert "w1_float32" not in vars(clone_with_params(model, {"b3": np.ones(1)}))
 
     def test_train_masks_reproducible(self):
         model = tiny_model(dropout=0.5)
@@ -150,9 +170,9 @@ class TestBackward:
             for i in range(flat.size):
                 pert = {k: v.copy() for k, v in model.params().items()}
                 pert[name].ravel()[i] = flat[i] + h
-                up = forward(clone_with_params(model, pert), x)
+                up, _ = unmasked_forward(clone_with_params(model, pert), x)
                 pert[name].ravel()[i] = flat[i] - h
-                down = forward(clone_with_params(model, pert), x)
+                down, _ = unmasked_forward(clone_with_params(model, pert), x)
                 fd = (up[0] - down[0]) / (2 * h)
                 analytic = grads[name].ravel()[i]
                 assert abs(analytic - fd) <= 1e-4 * max(abs(fd), 1e-2)

@@ -9,7 +9,7 @@ from loss_oracle import oracle_batch
 from milrank.exceptions import DataError, DimensionMismatchError, NonFiniteLossError
 from milrank.features import Bag
 from milrank.loss import LossParams, weight_decay_grads, weight_decay_term
-from milrank.network import backward, dropout_masks, forward_with_masks, init_model
+from milrank.network import backward, dropout_masks, forward, forward_with_masks, init_model
 from milrank.optim import (
     LOG_HEADER,
     PROBE_HEADER,
@@ -192,6 +192,21 @@ class TestTrainLoop:
         short, _ = train_on_bags(pos, neg, toy_config(iterations=4))
         for name, arr in short.params().items():
             assert np.array_equal(arr, getattr(snapshots[4], name))
+
+    def test_snapshot_models_make_no_float32_w1(self):
+        # with float32 bags, as load_bags makes them, the probe's scores are the
+        # snapshot's forward scores bit for bit, yet no snapshot's model keeps
+        # forward's float32 copy of w1
+        pos, neg = ([dataclasses.replace(b, segments=b.segments.astype(np.float32)) for b in bags]
+                    for bags in toy_bags(4, 4))
+        snapshots = []
+        _, log = train_on_bags(pos, neg, toy_config(iterations=6, snapshot_every=2), probe_bag=pos[0],
+                               snapshot_hook=lambda it, model: snapshots.append((it, model)))
+        assert [it for it, _ in snapshots] == [2, 4, 6]
+        assert not any("w1_float32" in vars(model) for _, model in snapshots)
+        for it, model in snapshots:
+            probe = np.array([score for i, _, score in log.probe_rows if i == it])
+            assert probe.tobytes() == forward(model, pos[0].segments).tobytes()
 
     def test_non_finite_loss_aborts_with_iteration(self, monkeypatch):
         pos, neg = toy_bags(4, 4)

@@ -1,10 +1,12 @@
-"""The trainer's float32 layer-1 GEMMs, checked against a float64 reference step.
+"""The float32 layer-1 GEMMs of training and eval, checked against float64 oracles.
 
 Training bags hold float32 segments, so ``forward_with_masks`` multiplies
 ``X @ W1.T`` and ``backward`` multiplies ``dZ1.T @ X`` in float32; the
 weights, gradients, Adagrad state, layers 2-3 and the loss stay float64.  The
 oracle is a step written here in plain float64 over every row, fed the same
-float32-rounded inputs held in float64, with the same dropout masks.
+float32-rounded inputs held in float64, with the same dropout masks.  Eval's
+``forward`` rounds its segments to float32 too; its scores are checked
+against the same float64 forward on the unrounded segments.
 """
 
 import numpy as np
@@ -114,9 +116,44 @@ def test_float64_forward_is_plain_float64(mode):
     scores, trace = forward_with_masks(model, X, *masks)
     want, (_, _, h1, _, h2) = reference_forward(model, X, *masks)
     assert scores.tobytes() == want.tobytes()
-    if mode == "eval":
-        assert forward(model, X).tobytes() == want.tobytes()
     assert trace.h1.tobytes() == h1.tobytes() and trace.h2.tobytes() == h2.tobytes()
+
+
+@pytest.mark.parametrize("dim", [7, 32, 4096])
+def test_eval_forward_is_the_unmasked_float32_pass(dim):
+    # eval's scores are the trainer's unmasked pass on float32 inputs, bit for bit,
+    # for eval's 32-row bags and for other segment counts
+    model = init_model(dim, seed=dim)
+    for rows in (1, 8, 32, 100):
+        X = np.random.default_rng(dim + rows).standard_normal((rows, dim))
+        want, _ = forward_with_masks(model, X.astype(np.float32), None, None)
+        assert forward(model, X).tobytes() == want.tobytes(), rows
+
+
+# Largest change allowed in an eval score against the float64 oracle.  Layer 1
+# rounds x and w1 to float32 and accumulates in float32, so, as for GRAD_RTOL,
+# its product has a normwise relative error of about u * sqrt(K) ~ 4e-6 at
+# K = 4096, which the float64 layers 2-3 pass on to the logits.  Each score's
+# error is then at most 1/4 (the sigmoid's largest slope) of its logit's, and
+# no logit's error exceeds the 2-norm of all of them; SCORE_RTOL = 1e-5 leaves
+# the same factor 2.5.  The five draws below measure a normwise logit error of
+# at most 4.2e-7, and score changes of at most 5.7e-9, under 3% of the bound.
+SCORE_RTOL = 1e-5
+
+
+@pytest.mark.parametrize("seed", [401, 402, 403, 404, 405])
+def test_eval_scores_near_float64_oracle(seed):
+    # a paper-shape bag: 32 segment means of unit-norm clips, each of norm at most 1
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((32, 4096))
+    X *= rng.uniform(0.2, 1.0, (32, 1)) / np.linalg.norm(X, axis=1, keepdims=True)
+    model = init_model(4096, seed)
+    want, (_, _, _, _, h2) = reference_forward(model, X)
+    logits = (h2 @ model.w3.T + model.b3)[:, 0]
+    error = np.abs(forward(model, X) - want).max()
+    assert error <= 0.25 * SCORE_RTOL * np.linalg.norm(logits), error
+    # a float64 layer 1 would agree with the oracle to ~1e-16
+    assert error > 1e-12, error
 
 
 def float32_bags(n, label, rng, m=4, dim=6):
