@@ -42,6 +42,14 @@ def video_feature(f: FeatureMatrix) -> np.ndarray:
     return normalized_means(f.data, np.array([0]), np.array([f.n_clips]))[0]
 
 
+def label_signs(y) -> np.ndarray:
+    """0/1 or -1/+1 labels as -1/+1 signs; labels of a single class raise DataError."""
+    signs = np.where(np.asarray(y) > 0, 1.0, -1.0)
+    if len(np.unique(signs)) < 2:
+        raise DataError("training data contains a single class")
+    return signs
+
+
 def fit_linear(X, y, c_reg: float = 1.0, epochs: int = 1000,
                learning_rate: float = 0.1) -> LinearModel:
     """Subgradient descent from w=0, b=0 over full-batch epochs.
@@ -53,9 +61,7 @@ def fit_linear(X, y, c_reg: float = 1.0, epochs: int = 1000,
     y = np.asarray(y)
     if y.shape != (X.shape[0],):
         raise ValueError(f"y must have shape ({X.shape[0]},), got {y.shape}")
-    signs = np.where(y > 0, 1.0, -1.0)
-    if len(np.unique(signs)) < 2:
-        raise DataError("training data contains a single class")
+    signs = label_signs(y)
 
     k = X.shape[0]
     w = np.zeros(X.shape[1])
@@ -71,13 +77,15 @@ def fit_linear(X, y, c_reg: float = 1.0, epochs: int = 1000,
 
 
 def train_linear(manifest: DatasetManifest, **fit_params) -> LinearModel:
-    """Fit the baseline on a manifest's videos; ``fit_params`` go to ``fit_linear``, checked first."""
+    """``fit_linear(**fit_params)`` on a manifest's videos; the settings and labels are checked first."""
     check_settings(fit_params)
+    labels = np.array([entry.label for entry in manifest.entries])
+    label_signs(labels)
     rows = []
     for _, f in load_videos(manifest):
         rows.append(video_feature(f))
         del f  # before the next video is read, as in load_bags
-    return fit_linear(np.array(rows), np.array([entry.label for entry in manifest.entries]), **fit_params)
+    return fit_linear(np.array(rows), labels, **fit_params)
 
 
 def score_linear(model: LinearModel, f: FeatureMatrix, m: int = DEFAULT_SEGMENTS) -> np.ndarray:

@@ -17,6 +17,11 @@ calling thread.
 Everything is keyed off integer seeds, so a run is a pure function of its
 inputs: identical config and data give bit-identical checkpoints and logs
 on one platform, for every thread count.
+
+``train_on_bags`` only trains.  ``train`` takes a manifest: from its ids and
+labels alone it settles the probe video and checks that each class fills a
+batch, then reads the videos and scores the probe in the snapshot hook it
+hands ``train_on_bags``.
 """
 
 from __future__ import annotations
@@ -130,7 +135,7 @@ def sample_pair_indices(n_pos: int, n_neg: int, cfg: TrainConfig,
     """Indices of the bags paired at this iteration.
 
     Uniform without replacement within the batch, seeded by (cfg.seed, iteration), already in
-    shuffled pairing order.  ``train_on_bags`` has checked that each class has a batch of bags.
+    shuffled pairing order.  ``check_class_sizes`` has passed for the class sizes.
     """
     rng = derive_rng(cfg.seed, STREAM_SAMPLER, iteration)
     pos_idx = rng.choice(n_pos, size=cfg.batch_pos, replace=False)
@@ -140,7 +145,7 @@ def sample_pair_indices(n_pos: int, n_neg: int, cfg: TrainConfig,
 
 @dataclass
 class TrainingLog:
-    """Per-iteration loss terms plus optional probe-video score snapshots."""
+    """Per-iteration loss terms plus the probe-video score snapshots that ``train`` adds."""
 
     rows: list[tuple[int, float, float, float, float, float]] = field(default_factory=list)
     probe_rows: list[tuple[int, int, float]] = field(default_factory=list)
@@ -159,19 +164,23 @@ def dropout_seed(cfg_seed: int, iteration: int) -> int:
     return mix_to_seed(cfg_seed, iteration)
 
 
+def check_class_sizes(n_pos: int, n_neg: int, cfg: TrainConfig) -> None:
+    """Raise a DataError unless each class has at least a batch of bags."""
+    for kind, n, batch in (("positive", n_pos, cfg.batch_pos), ("negative", n_neg, cfg.batch_neg)):
+        if n < batch:
+            raise DataError(f"need at least {batch} {kind} bags, have {n}")
+
+
 def train_on_bags(pos_bags: list[Bag], neg_bags: list[Bag], cfg: TrainConfig,
-                  probe_bag: Bag | None = None,
                   snapshot_hook=None) -> tuple[MlpModel, TrainingLog]:
-    """Run the training loop over in-memory bags.
+    """Run the training loop over in-memory bags; the log holds no probe rows.
 
     Every bag must have the segments' dtype of the first positive bag;
     each batch is stacked in that dtype, which layer 1 computes in.
     ``snapshot_hook(iteration, model)``, if given, fires at every
-    ``snapshot_every`` multiple alongside the probe-score snapshot.
+    ``snapshot_every`` multiple.
     """
-    for kind, bags, batch in (("positive", pos_bags, cfg.batch_pos), ("negative", neg_bags, cfg.batch_neg)):
-        if len(bags) < batch:
-            raise DataError(f"need at least {batch} {kind} bags, have {len(bags)}")
+    check_class_sizes(len(pos_bags), len(neg_bags), cfg)
     dim = pos_bags[0].segments.shape[1]
     dtype = pos_bags[0].segments.dtype
     for bag in pos_bags + neg_bags:
@@ -227,34 +236,35 @@ def train_on_bags(pos_bags: list[Bag], neg_bags: list[Bag], cfg: TrainConfig,
                 float(terms.sparsity.mean()),
                 float(reg),
             ))
-            if cfg.snapshot_every and it % cfg.snapshot_every == 0:
-                if probe_bag is not None:
-                    # the unmasked pass in the bags' dtype: ``forward``'s scores for float32
-                    # bags, without keeping a float32 copy of w1 on each snapshot's model
-                    probe_scores = forward_with_masks(model, probe_bag.segments, None, None)[0]
-                    log.probe_rows.extend((it, seg, float(s)) for seg, s in enumerate(probe_scores))
-                if snapshot_hook is not None:
-                    snapshot_hook(it, model)
+            if snapshot_hook is not None and cfg.snapshot_every and it % cfg.snapshot_every == 0:
+                snapshot_hook(it, model)
     return model, log
 
 
 def train(manifest: DatasetManifest, cfg: TrainConfig,
           snapshot_hook=None) -> tuple[MlpModel, TrainingLog]:
     """Featurize a manifest once, split its bags into positives and negatives,
-    then train.
-
-    The probe video (whose eval-mode scores are snapshotted every
-    ``snapshot_every`` iterations) is ``cfg.probe_video_id`` when set,
-    otherwise the first positive bag.
+    then train, logging at every snapshot the eval-mode scores of the probe video:
+    ``cfg.probe_video_id`` when set, else the first positive.  An unknown probe
+    and a class smaller than a batch are refused before any video is read.
     """
+    ids = [entry.feature_path.stem for entry in manifest.entries]  # a video's id, as in load_manifest
+    labels = [entry.label for entry in manifest.entries]
+    if cfg.probe_video_id is not None and cfg.probe_video_id not in ids:
+        raise DataError(f"probe video {cfg.probe_video_id!r} not in manifest")
+    check_class_sizes(labels.count(1), labels.count(0), cfg)
     bags = load_bags(manifest, cfg.segments_per_bag)
-    pos_bags = [b for b in bags if b.label == 1]
-    neg_bags = [b for b in bags if b.label == 0]
-    probe_bag = None
-    if cfg.probe_video_id is not None:
-        probe_bag = next((b for b in bags if b.video_id == cfg.probe_video_id), None)
-        if probe_bag is None:
-            raise DataError(f"probe video {cfg.probe_video_id!r} not in manifest")
-    elif cfg.snapshot_every and pos_bags:
-        probe_bag = pos_bags[0]
-    return train_on_bags(pos_bags, neg_bags, cfg, probe_bag=probe_bag, snapshot_hook=snapshot_hook)
+    probe = bags[labels.index(1) if cfg.probe_video_id is None else ids.index(cfg.probe_video_id)]
+    probe_rows = []
+
+    def snapshot(iteration, model):
+        # the unmasked pass in the bags' dtype: ``forward``'s scores for float32
+        # bags, without keeping a float32 copy of w1 on each snapshot's model
+        scores = forward_with_masks(model, probe.segments, None, None)[0]
+        probe_rows.extend((iteration, seg, float(s)) for seg, s in enumerate(scores))
+        if snapshot_hook is not None:
+            snapshot_hook(iteration, model)
+
+    model, log = train_on_bags([b for b in bags if b.label == 1], [b for b in bags if b.label == 0], cfg, snapshot)
+    log.probe_rows = probe_rows
+    return model, log

@@ -274,8 +274,10 @@ class TestMixedDimensions:
         manifest = dataset / "mixed.txt"
         manifest.write_text("features/pos000.feat 1\nfeatures/odd.feat 1\nfeatures/neg000.feat 0\n")
         out = tmp_path / "out"
+        # train takes a batch its classes fill, so it reads the videos
         assert main([command, "--manifest", str(manifest),
-                     *([] if command == "ingest-check" else ["--out", str(out)])]) == 5
+                     *([] if command == "ingest-check" else ["--out", str(out)]),
+                     *(["--batch", "1"] if command == "train" else [])]) == 5
         assert capsys.readouterr().err == f"error: {odd.resolve()}: dim 6 differs from first video's 8\n"
         assert not out.exists()
 
@@ -444,7 +446,8 @@ class TestDefaultsFromConfig:
 
 
 # One bad value for each setting flag of each command, and the one stderr line it
-# gives; --probe takes any string.  A flag missing here fails TestEarlyRefusal.
+# gives; --probe is checked against the manifest, in TestEarlyRefusal's
+# test_manifest_refused_before_reading.  A flag missing here fails TestEarlyRefusal.
 BAD_SETTINGS = {
     ("train", "iters"): ("0", "iterations must be positive and finite, got 0"),
     ("train", "seed"): ("-1", "seed must be non-negative and finite, got -1"),
@@ -496,14 +499,16 @@ class TestEarlyRefusal:
     @pytest.fixture
     def argv(self, tmp_path):
         """Each command with a manifest of zero-byte feature files, a missing
-        checkpoint or model, and ``tmp_path / "out"`` as its output."""
+        checkpoint or model, and ``tmp_path / "out"`` as its output; ``train``
+        takes a batch of one bag, which the manifest's one positive and one
+        negative video fill."""
         for name in ("a.feat", "b.feat"):
             (tmp_path / name).write_bytes(b"")
         manifest = ["--manifest", str(tmp_path / "manifest.txt")]
         (tmp_path / "manifest.txt").write_text("a.feat 1\nb.feat 0\n")
         missing = str(tmp_path / "missing.bin")
         out = ["--out", str(tmp_path / "out")]
-        return {"train": ["train", *manifest, *out],
+        return {"train": ["train", *manifest, *out, "--batch", "1"],
                 "synth": ["synth", *out],
                 "baseline-train": ["baseline-train", *manifest, *out],
                 "score": ["score", "--checkpoint", missing, "--features", str(tmp_path / "a.feat"), *out],
@@ -520,6 +525,19 @@ class TestEarlyRefusal:
         assert (command, flag) in BAD_SETTINGS, f"no bad value listed for {command} --{flag}"
         value, error = BAD_SETTINGS[command, flag]
         assert main([*argv[command], f"--{flag}={value}"]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, labels, flags, error", [
+        ("train", "10", ["--probe", "nosuch", "--snapshot-every", "2"], "probe video 'nosuch' not in manifest"),
+        ("train", "10", ["--batch", "2"], "need at least 2 positive bags, have 1"),
+        ("train", "11", ["--batch", "2"], "need at least 2 negative bags, have 0"),
+        ("baseline-train", "11", [], "training data contains a single class"),
+    ], ids=["unknown-probe", "small-positives", "small-negatives", "one-class"])
+    def test_manifest_refused_before_reading(self, argv, tmp_path, capsys, command, labels, flags, error):
+        # the manifest's ids and labels decide these, so no feature file is read
+        (tmp_path / "manifest.txt").write_text(f"a.feat {labels[0]}\nb.feat {labels[1]}\n")
+        assert main([*argv[command], *flags]) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not (tmp_path / "out").exists()
 

@@ -7,7 +7,7 @@ import pytest
 import milrank.optim as optim_module
 from loss_oracle import oracle_batch
 from milrank.exceptions import DataError, DimensionMismatchError, NonFiniteLossError
-from milrank.features import Bag
+from milrank.features import Bag, load_bags, load_manifest
 from milrank.loss import LossParams, weight_decay_grads, weight_decay_term
 from milrank.network import backward, dropout_masks, forward, forward_with_masks, init_model
 from milrank.optim import (
@@ -18,8 +18,10 @@ from milrank.optim import (
     adagrad_step,
     dropout_seed,
     sample_pair_indices,
+    train,
     train_on_bags,
 )
+from milrank.synthetic import SynthSpec, generate
 from milrank.validation import csv_lines, write_lines
 
 
@@ -32,6 +34,13 @@ def toy_bags(n_pos, n_neg, seed=0, m=4, dim=6):
     pos = [toy_bag(f"p{i}", 1, rng, m, dim) for i in range(n_pos)]
     neg = [toy_bag(f"n{i}", 0, rng, m, dim) for i in range(n_neg)]
     return pos, neg
+
+
+@pytest.fixture
+def synth_manifest(tmp_path):
+    """A tiny ``synth`` training manifest: pos000-pos003, then neg000-neg003, dim 6."""
+    spec = SynthSpec(n_pos_videos=4, n_neg_videos=4, dim=6, clips_per_video=8)
+    return load_manifest(generate(spec, tmp_path).manifest_path, "train")
 
 
 def toy_config(**overrides):
@@ -166,14 +175,21 @@ class TestTrainLoop:
         losses = [row[1] for row in log.rows]
         assert len(losses) == 20 and np.isfinite(losses).all()
 
-    def test_probe_snapshots(self):
-        pos, neg = toy_bags(4, 4)
-        cfg = toy_config(iterations=6, snapshot_every=2)
-        _, log = train_on_bags(pos, neg, cfg, probe_bag=pos[0])
+    def test_probe_snapshots(self, synth_manifest):
+        _, log = train(synth_manifest, toy_config(iterations=6, snapshot_every=2))
         iterations = sorted({row[0] for row in log.probe_rows})
         assert iterations == [2, 4, 6]
         per_snapshot = [row for row in log.probe_rows if row[0] == 2]
         assert [seg for _, seg, _ in per_snapshot] == list(range(4))
+
+    def test_probe_by_id(self, synth_manifest):
+        # a video's id is its feature file's stem
+        snapshots = {}
+        _, log = train(synth_manifest, toy_config(iterations=2, snapshot_every=2, probe_video_id="neg002"),
+                       snapshot_hook=snapshots.__setitem__)
+        bag = load_bags(synth_manifest, 4)[6]
+        assert bag.video_id == "neg002"
+        assert [score for _, _, score in log.probe_rows] == forward(snapshots[2], bag.segments).tolist()
 
     def test_snapshot_hook_called(self):
         pos, neg = toy_bags(4, 4)
@@ -193,20 +209,20 @@ class TestTrainLoop:
         for name, arr in short.params().items():
             assert np.array_equal(arr, getattr(snapshots[4], name))
 
-    def test_snapshot_models_make_no_float32_w1(self):
-        # with float32 bags, as load_bags makes them, the probe's scores are the
-        # snapshot's forward scores bit for bit, yet no snapshot's model keeps
-        # forward's float32 copy of w1
-        pos, neg = ([dataclasses.replace(b, segments=b.segments.astype(np.float32)) for b in bags]
-                    for bags in toy_bags(4, 4))
+    def test_snapshot_models_make_no_float32_w1(self, synth_manifest):
+        # the probe, the first positive video, is scored from its float32 bag, as
+        # load_bags makes it: its scores are the snapshot's forward scores bit for
+        # bit, yet no snapshot's model keeps forward's float32 copy of w1
+        bag = load_bags(synth_manifest, 4)[0]
+        assert bag.label == 1 and bag.segments.dtype == np.float32
         snapshots = []
-        _, log = train_on_bags(pos, neg, toy_config(iterations=6, snapshot_every=2), probe_bag=pos[0],
-                               snapshot_hook=lambda it, model: snapshots.append((it, model)))
+        _, log = train(synth_manifest, toy_config(iterations=6, snapshot_every=2),
+                       snapshot_hook=lambda it, model: snapshots.append((it, model)))
         assert [it for it, _ in snapshots] == [2, 4, 6]
         assert not any("w1_float32" in vars(model) for _, model in snapshots)
         for it, model in snapshots:
             probe = np.array([score for i, _, score in log.probe_rows if i == it])
-            assert probe.tobytes() == forward(model, pos[0].segments).tobytes()
+            assert probe.tobytes() == forward(model, bag.segments).tobytes()
 
     def test_non_finite_loss_aborts_with_iteration(self, monkeypatch):
         pos, neg = toy_bags(4, 4)
@@ -453,9 +469,8 @@ class TestTrainingLogCsv:
         assert int(parts[0]) == 1
         assert all(math.isfinite(float(p)) for p in parts[1:])
 
-    def test_probe_csv_shape(self, tmp_path):
-        pos, neg = toy_bags(4, 4)
-        _, log = train_on_bags(pos, neg, toy_config(iterations=4, snapshot_every=2), probe_bag=pos[0])
+    def test_probe_csv_shape(self, tmp_path, synth_manifest):
+        _, log = train(synth_manifest, toy_config(iterations=4, snapshot_every=2))
         path = tmp_path / "probe.csv"
         write_lines(path, csv_lines(PROBE_HEADER, log.probe_rows))
         lines = path.read_text().splitlines()
