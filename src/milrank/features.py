@@ -180,7 +180,8 @@ def _load_csv(path: Path) -> FeatureMatrix:
 def write_features(f: FeatureMatrix, path, format: str | None = None) -> None:
     """Write a feature file, by default in the format ``load_features`` reads it in.
     Values are stored as float32; a value that is not finite there raises
-    ValueError and no file is written."""
+    ValueError and no file or directory is written.  Missing parent
+    directories are made."""
     path = Path(path)
     format = _feature_format(path, format)
     with np.errstate(over="ignore"):
@@ -188,6 +189,7 @@ def write_features(f: FeatureMatrix, path, format: str | None = None) -> None:
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
         raise ValueError(f"{path}: clip {bad.argmax()}: value not finite in 32-bit storage")
+    path.parent.mkdir(parents=True, exist_ok=True)
     if format == "binary":
         header = MAGIC + struct.pack("<4I", BINARY_VERSION, f.n_clips, f.dim, f.n_frames)
         path.write_bytes(header + values.tobytes(order="C"))

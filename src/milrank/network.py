@@ -27,7 +27,7 @@ every platform.
 A training run passes one ``Workspace`` to every step's
 ``forward_with_masks`` and ``backward``.  Its worker threads split the
 large float32 layer-1 GEMMs by output rows, each worker making one BLAS
-call into its own rows of a preallocated product.  This relies on two
+call into its own rows of the product.  This relies on two
 things: numpy releases the GIL inside a BLAS call, and the bundled
 OpenBLAS is reentrant when each call runs on one thread, which
 ``cli.main``, the benchmark and the tests' conftest all pin before numpy
@@ -122,18 +122,14 @@ def check_dropout_rate(rate: float) -> None:
 
 
 class Workspace:
-    """The arrays and worker threads that the steps of one training run share.
+    """The worker threads that the steps of one training run share.
 
-    ``forward_with_masks`` and ``backward`` write the layer-1 activations,
-    and the layer-1 products they split, into the arrays that the previous
-    step used, with the same bytes as fresh ones.  The pool of ``workers``
-    threads starts on the first split, and leaving a ``with`` block shuts
-    it down.
+    The pool of ``workers`` threads starts on the first split, and leaving
+    a ``with`` block shuts it down.  Every array a step makes is its own.
     """
 
     def __init__(self, workers: int = 1):
         self.workers = workers
-        self._arrays: dict[str, np.ndarray] = {}
         self._pool: ThreadPoolExecutor | None = None
 
     def __enter__(self) -> "Workspace":
@@ -143,33 +139,22 @@ class Workspace:
         if self._pool is not None:
             self._pool.shutdown()
 
-    def array(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """The array kept under ``name``, replaced by a fresh one when its shape or dtype differs."""
-        arr = self._arrays.get(name)
-        if arr is None or arr.shape != shape or arr.dtype != dtype:
-            arr = self._arrays[name] = np.empty(shape, dtype)
-        return arr
-
-    def split_rows(self, name: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def split_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``a @ b``, split over the workers when it is a large float32 product.
 
         Such a product is cut into one block of rows of ``a`` per worker,
         when every block still holds ``BLOCK_MIN_ROWS`` rows and
         ``BLOCK_MIN_MACS`` multiply-adds.  Each worker writes its block's
-        rows of the array kept under ``name`` with one BLAS call.  On the
-        bundled OpenBLAS an sgemm row computed this way has the single
-        call's bits; the tests check this.  A dgemm row block can change the
-        last column's bits when the column count is odd, so float64 products
-        stay one call.  A product that is not split is a fresh array, as
-        ``@`` returns it: keeping the small ones alive between steps changed
-        which later allocations glibc maps afresh, and slowed the
-        acceptance-scale run.
+        rows of a fresh product with one BLAS call.  On the bundled OpenBLAS
+        an sgemm row computed this way has the single call's bits; the tests
+        check this.  A dgemm row block can change the last column's bits
+        when the column count is odd, so float64 products stay one call.
         """
         rows = a.shape[0]
         blocks = min(self.workers, rows // BLOCK_MIN_ROWS, rows * a.shape[1] * b.shape[1] // BLOCK_MIN_MACS)
         if blocks < 2 or np.result_type(a, b) != np.float32:
             return a @ b
-        out = self.array(name, (rows, b.shape[1]), np.float32)
+        out = np.empty((rows, b.shape[1]), np.float32)
         if self._pool is None:
             self._pool = ThreadPoolExecutor(self.workers, thread_name_prefix="milrank-gemm")
         edges = [rows * i // blocks for i in range(blocks + 1)]
@@ -183,9 +168,11 @@ class Workspace:
 class ForwardTrace:
     """What backward reads of one forward pass.
 
-    ``gate1`` is the layer-1 relu derivative times the scaled dropout mask,
-    and ``gate2`` the scaled layer-2 mask, so backward applies each site in
-    one multiply; each is None where that site had no mask.
+    ``gate1`` is the boolean layer-1 keep mask ``(h1 > 0) & mask1`` (relu and
+    dropout in one), and ``gate2`` the boolean layer-2 mask; each is None
+    where that site had no mask.  The forward pass and backward multiply by
+    a gate and then by ``1/keep``: a factor of exactly 0 or 1 is exact, so
+    this has the bits of one multiply by the scaled gate.
     """
 
     inputs: np.ndarray
@@ -213,13 +200,9 @@ def init_model(dim: int, seed: int, hidden1: int = DEFAULT_HIDDEN1, hidden2: int
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Numerically stable logistic function: ``exp`` only ever sees ``-|x|``, so it never overflows."""
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def dropout_masks(model: MlpModel, n_rows: int, rng_seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -260,7 +243,7 @@ def forward(model: MlpModel, segments) -> np.ndarray:
     # element's products in one order either way (the tests check it); for a 32-row bag at
     # the paper's shape it took 2.6 ms against 4.0 ms on one core (Haswell kernels)
     z1 = (model.w1_float32 @ X32.T).T
-    return _forward_from_z1(model, X32, z1, None, None, Workspace())[0]
+    return _forward_from_z1(model, X32, z1, None, None)[0]
 
 
 def forward_with_masks(model: MlpModel, X: np.ndarray, mask1: np.ndarray | None, mask2: np.ndarray | None,
@@ -269,39 +252,39 @@ def forward_with_masks(model: MlpModel, X: np.ndarray, mask1: np.ndarray | None,
 
     The trainer uses this to run one stacked pass over a whole batch with
     the masks of one ``dropout_masks`` draw for all of its rows.  A masked
-    site applies relu, mask and 1/keep scaling as one multiply by its gate.
-    Layer 1 multiplies in the dtype of ``X``, with ``w1`` cast to it on
-    every call; its product, and so every later activation, is float64 from
-    then on.  Both casts are no-ops for float64 input.  With a
-    ``workspace`` (the trainer's, shared by its steps), the layer-1
-    product, ``h1`` and ``gate1`` are written into the workspace's arrays,
-    so a later step overwrites this trace's ``h1`` and ``gate1``; without
-    one, they are fresh.
+    site applies relu and mask as one multiply by its boolean gate, then
+    the 1/keep scaling.  Layer 1 multiplies in the dtype of ``X``, with
+    ``w1`` cast to it on every call; its product, and so every later
+    activation, is float64 from then on.  Both casts are no-ops for float64
+    input.  A ``workspace`` (the trainer's, shared by its steps) splits the
+    layer-1 product over its workers.  Every array of the trace is fresh,
+    or the caller's ``X`` and ``mask2``, so no later step writes to it.
     """
-    ws = workspace or Workspace()
-    z1 = ws.split_rows("z1", X, model.w1.astype(X.dtype, copy=False).T)
-    return _forward_from_z1(model, X, z1, mask1, mask2, ws)
+    z1 = (workspace or Workspace()).split_rows(X, model.w1.astype(X.dtype, copy=False).T)
+    return _forward_from_z1(model, X, z1, mask1, mask2)
 
 
 def _forward_from_z1(model: MlpModel, X: np.ndarray, z1: np.ndarray, mask1: np.ndarray | None,
-                     mask2: np.ndarray | None, ws: Workspace) -> tuple[np.ndarray, ForwardTrace]:
+                     mask2: np.ndarray | None) -> tuple[np.ndarray, ForwardTrace]:
     """``forward_with_masks`` from the layer-1 product ``z1 = X @ W1.T`` on."""
-    keep = 1.0 - model.dropout_rate
-    shape1 = (X.shape[0], model.hidden1)
-    h1 = np.add(z1, model.b1, out=ws.array("h1", shape1, np.float64))
+    scale = 1.0 / (1.0 - model.dropout_rate)
+    # C order: eval's z1 is the F-order view of a transposed product, and an F-order h1
+    # would change the bits of h1 @ w2.T
+    h1 = np.add(z1, model.b1, dtype=np.float64, order="C")
     gate1 = gate2 = None
     if mask1 is None:
         np.maximum(h1, 0.0, out=h1)
     else:
-        kept = h1 > 0.0
-        kept &= mask1
-        gate1 = np.multiply(kept, 1.0 / keep, out=ws.array("gate1", shape1, np.float64))
+        gate1 = h1 > 0.0
+        gate1 &= mask1
         h1 *= gate1
+        h1 *= scale
     h2 = h1 @ model.w2.T
     h2 += model.b2
     if mask2 is not None:
-        gate2 = mask2 * (1.0 / keep)
+        gate2 = mask2
         h2 *= gate2
+        h2 *= scale
     scores = sigmoid((h2 @ model.w3.T + model.b3)[:, 0])
     return scores, ForwardTrace(inputs=X, h1=h1, h2=h2, scores=scores, gate1=gate1, gate2=gate2)
 
@@ -332,21 +315,25 @@ def backward(model: MlpModel, trace: ForwardTrace, dloss_dscores,
     dlogits = dlogits[live]
     dw3 = dlogits[None, :] @ trace.h2[live]
     db3 = np.array([dlogits.sum()])
+    scale = 1.0 / (1.0 - model.dropout_rate)
     dh2 = dlogits[:, None] @ model.w3
     if trace.gate2 is not None:
         dh2 *= trace.gate2[live]
+        dh2 *= scale
     dw2 = dh2.T @ trace.h1[live]
     db2 = dh2.sum(axis=0)
     dz1 = dh2 @ model.w2
-    # without a layer-1 mask h1 = relu(z1), so h1 > 0 exactly where z1 > 0
-    dz1 *= trace.gate1[live] if trace.gate1 is not None else trace.h1[live] > 0.0
+    if trace.gate1 is not None:
+        dz1 *= trace.gate1[live]
+        dz1 *= scale
+    else:  # without a layer-1 mask h1 = relu(z1), so h1 > 0 exactly where z1 > 0
+        dz1 *= trace.h1[live] > 0.0
     # The trainer stacks its positive bags, whose rows are all live, first:
     # the run of live rows from row 0 is read in place and only the rows
     # after it are gathered, instead of copying every live input row.
     k = int(np.searchsorted(live - np.arange(live.size), 0, side="right"))
     dz1_x = dz1.astype(trace.inputs.dtype, copy=False)
-    ws = workspace or Workspace()
-    dw1 = ws.split_rows("dw1", dz1_x[:k].T, trace.inputs[:k]).astype(np.float64, copy=False)
+    dw1 = (workspace or Workspace()).split_rows(dz1_x[:k].T, trace.inputs[:k]).astype(np.float64, copy=False)
     if k < live.size:
         dw1 += dz1_x[k:].T @ trace.inputs[live[k:]]
     db1 = dz1.sum(axis=0)

@@ -67,7 +67,6 @@ def generate(spec: SynthSpec, out_dir, test_pos: int = 0, test_neg: int = 0) -> 
         raise ValueError(f"test_pos and test_neg must both be zero or both positive, got {test_pos} and {test_neg}")
     out_dir = Path(out_dir)
     features_dir = out_dir / "features"
-    features_dir.mkdir(parents=True, exist_ok=True)
     rng = derive_rng(spec.seed, STREAM_SYNTH)
     direction = rng.normal(size=spec.dim)
     direction /= np.linalg.norm(direction)

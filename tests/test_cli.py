@@ -155,7 +155,7 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "32-bit storage" in err
         assert "Traceback" not in err
-        assert not list((tmp_path / "d" / "features").glob("*.feat"))
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("flag, value, rule", [
         ("--separation", "nan", "separation must be non-negative"),

@@ -4,9 +4,13 @@ No linter runs with the tests, so AST scans stand in for three checks: an
 imported name must be referenced somewhere in its module (as a name or the
 root of an attribute chain); a top-level function in ``tests/`` other than
 a test or a pytest fixture must be named (as a name or an attribute) in
-some test file; and a top-level function of the package must be named in
-some file under ``src/`` or ``bench/``, since one that only tests call is
-code no program path needs.  Imports from ``__future__`` are exempt.
+some test file; and a top-level function of the package, or a public
+method or property of one of its classes, must be named in some file under
+``src/`` or ``bench/``, since one that only tests call is code no program
+path needs.  A method counts as named wherever its name appears as a name
+or an attribute, whatever the object; dataclass fields are not scanned,
+since their names collide too often for such a scan to mean anything.
+Imports from ``__future__`` are exempt.
 
 The package ``__init__`` imports no submodule, so nothing fixes the order
 in which they load.  Each one is imported alone in a fresh interpreter:
@@ -73,15 +77,26 @@ def helper_functions(tree):
             yield node.lineno, node.name
 
 
+def package_functions(tree):
+    """Top-level functions, and public methods and properties of top-level classes as ``Class.name``."""
+    yield from helper_functions(tree)
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    yield node.lineno, f"{cls.name}.{node.name}"
+
+
 def named(tree):
     return used_names(tree) | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
-def dead_helpers(trees, naming_trees=None):
-    """Helpers defined in ``trees`` that no tree of ``naming_trees`` (default ``trees``) names."""
+def dead_helpers(trees, naming_trees=None, definitions=helper_functions):
+    """Functions that ``definitions`` finds in ``trees`` and no tree of ``naming_trees``
+    (default ``trees``) names; a ``Class.name`` counts as named where ``name`` is."""
     names = set().union(*map(named, (naming_trees or trees).values()))
-    return [f"{path}:{lineno}: {name}"
-            for path, tree in trees.items() for lineno, name in helper_functions(tree) if name not in names]
+    return [f"{path}:{lineno}: {name}" for path, tree in trees.items()
+            for lineno, name in definitions(tree) if name.rpartition(".")[2] not in names]
 
 
 def parsed(paths):
@@ -93,7 +108,7 @@ def test_no_dead_test_helpers():
 
 
 def test_no_dead_package_functions():
-    assert dead_helpers(parsed(PACKAGE), parsed(PACKAGE + BENCH)) == []
+    assert dead_helpers(parsed(PACKAGE), parsed(PACKAGE + BENCH), package_functions) == []
 
 
 def test_scan_sees_a_dead_helper():
@@ -113,6 +128,14 @@ def test_scan_sees_a_dead_package_function():
     # a call from a test is not a program path
     assert dead_helpers(package, {**package, **bench}) == ["pkg.py:4: tested"]
     assert dead_helpers(package, {**package, **bench, **tests}) == []
+
+
+def test_scan_sees_a_dead_method():
+    module = ("class Model:\n    def used(self): pass\n    @property\n    def size(self): pass\n"
+              "    def dead(self): pass\n    def _private(self): pass\n    def __len__(self): return 0\n"
+              "def run():\n    model = Model()\n    model.used()\n    return model.size\n")
+    package = {"pkg.py": ast.parse(module), "cli.py": ast.parse("from pkg import run\nrun()\n")}
+    assert dead_helpers(package, definitions=package_functions) == ["pkg.py:5: Model.dead"]
 
 
 @pytest.mark.parametrize("module", [

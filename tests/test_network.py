@@ -20,6 +20,7 @@ from milrank.network import (
     init_model,
     load_checkpoint,
     save_checkpoint,
+    sigmoid,
 )
 
 
@@ -150,6 +151,39 @@ class TestForward:
         )
         assert np.array_equal(stacked, np.concatenate(per_bag))
 
+    def test_gates_are_keep_masks(self):
+        model = tiny_model(seed=6, dropout=0.6)
+        X = np.random.default_rng(8).standard_normal((6, 8))
+        mask1, mask2 = dropout_masks(model, 6, 9)
+        _, trace = forward_with_masks(model, X, mask1, mask2)
+        assert trace.gate1.dtype == trace.gate2.dtype == bool
+        assert np.array_equal(trace.gate1, trace.h1 > 0.0) and not (trace.gate1 & ~mask1).any()
+        assert np.array_equal(trace.gate2, mask2)
+
+
+def masked_sigmoid(x):
+    """The earlier ``sigmoid``: each sign's formula evaluated on its own elements."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    # zero, subnormal, exp's overflow and underflow edges, the largest finite and infinity
+    EDGES = [0.0, 1e-310, 36.7, 710.0, 745.2, 1e308, np.inf]
+
+    def test_bits_match_masked_form(self):
+        # a RuntimeWarning from either form fails the test too
+        rng = np.random.default_rng(14)
+        edges = np.array(self.EDGES + [-v for v in self.EDGES])
+        sizes, scales = rng.integers(1, 1921, 16), [1.0, 40.0, 800.0] * 6
+        draws = [rng.standard_normal(n) * scale for n, scale in zip(sizes, scales)]
+        for x in [edges, *draws]:
+            assert sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
+
 
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
@@ -201,14 +235,16 @@ class TestBackward:
 
 def full_row_backward(model, trace, g):
     """Reference gradients: every layer runs over every row of the batch,
-    whether or not its score gradient is zero."""
+    whether or not its score gradient is zero.  The gates are keep masks;
+    a kept unit's gradient is scaled by 1/keep here."""
+    scale = 1.0 / (1.0 - model.dropout_rate)
     dlogits = g * trace.scores * (1.0 - trace.scores)
     dh2 = dlogits[:, None] @ model.w3
     if trace.gate2 is not None:
-        dh2 = dh2 * trace.gate2
+        dh2 = dh2 * (trace.gate2 * scale)
     dz1 = dh2 @ model.w2
     z1 = trace.inputs @ model.w1.T + model.b1
-    dz1 = dz1 * (trace.gate1 if trace.gate1 is not None else z1 > 0.0)
+    dz1 = dz1 * (trace.gate1 * scale if trace.gate1 is not None else z1 > 0.0)
     return {"w1": dz1.T @ trace.inputs, "b1": dz1.sum(axis=0),
             "w2": dh2.T @ trace.h1, "b2": dh2.sum(axis=0),
             "w3": dlogits[None, :] @ trace.h2, "b3": np.array([dlogits.sum()])}
@@ -290,7 +326,7 @@ class TestSplitRows:
         with Workspace(workers) as ws:
             for a, b in ((X, w1.T), (dz1.T, rows)):
                 a, b = a.astype(dtype), b.astype(dtype)
-                assert ws.split_rows("out", a, b).tobytes() == (a @ b).tobytes()
+                assert ws.split_rows(a, b).tobytes() == (a @ b).tobytes()
         # float64 products always stay one call
         assert len(pool_submits) == (2 * workers if workers > 1 and dtype == np.float32 else 0)
 
@@ -321,12 +357,12 @@ class TestSplitRows:
             scores, trace = forward_with_masks(model, X, *dropout_masks(model, 640, 5), ws)
             backward(model, trace, np.ones(640), ws)
             # eval's 32-row bags at the paper's dim
-            ws.split_rows("z1", rng.standard_normal((32, 4096)), rng.standard_normal((4096, 512)))
-            ws.split_rows("z1", *(rng.standard_normal(shape).astype(np.float32)
-                                  for shape in ((32, 4096), (4096, 512))))
+            ws.split_rows(rng.standard_normal((32, 4096)), rng.standard_normal((4096, 512)))
+            ws.split_rows(*(rng.standard_normal(shape).astype(np.float32)
+                            for shape in ((32, 4096), (4096, 512))))
             # many multiply-adds, but fewer rows than two blocks need
-            ws.split_rows("dw1", *(rng.standard_normal(shape).astype(np.float32)
-                                   for shape in ((100, 4096), (4096, 1024))))
+            ws.split_rows(*(rng.standard_normal(shape).astype(np.float32)
+                            for shape in ((100, 4096), (4096, 1024))))
         assert pool_submits == []
 
 

@@ -269,38 +269,38 @@ class TestTrainLoop:
             train_on_bags(pos, [], toy_config())
 
 
-class TestActivationReuse:
-    """Each step's forward writes its layer-1 activations into the previous
-    step's arrays instead of allocating them afresh, with the same results."""
+class TestTraceArrays:
+    """Each step's trace owns its arrays: the steps of a run share only the
+    ``Workspace``'s threads, so a trace kept past its step keeps its bytes."""
 
-    def traced_run(self, monkeypatch, dtype, reuse):
+    def traced_run(self, monkeypatch, dtype, with_workspace=True):
         pos, neg = toy_bags(4, 4, seed=5)
         pos, neg = ([Bag(b.video_id, b.label, b.segments.astype(dtype)) for b in bags] for bags in (pos, neg))
-        traces = []
+        traces, trace_bytes = [], []
 
         def recording_forward(model, X, mask1, mask2, *rest):
-            scores, trace = forward_with_masks(model, X, mask1, mask2, *(rest if reuse else ()))
+            scores, trace = forward_with_masks(model, X, mask1, mask2, *(rest if with_workspace else ()))
             traces.append(trace)
+            trace_bytes.append([trace.h1.tobytes(), trace.gate1.tobytes(), trace.gate2.tobytes()])
             return scores, trace
 
         monkeypatch.setattr(optim_module, "forward_with_masks", recording_forward)
         model, log = train_on_bags(pos, neg, toy_config(iterations=6))
-        return model, log, traces
+        return model, log, traces, trace_bytes
 
-    def test_consecutive_steps_share_h1_and_gate1(self, monkeypatch):
-        _, _, traces = self.traced_run(monkeypatch, np.float32, reuse=True)
-        for before, after in zip(traces, traces[1:]):
-            assert np.shares_memory(before.h1, after.h1)
-            assert np.shares_memory(before.gate1, after.gate1)
+    def test_held_trace_keeps_its_bytes(self, monkeypatch):
+        _, _, traces, trace_bytes = self.traced_run(monkeypatch, np.float32)
+        assert not np.shares_memory(traces[0].h1, traces[1].h1)
+        for trace, at_its_step in zip(traces, trace_bytes):
+            assert [trace.h1.tobytes(), trace.gate1.tobytes(), trace.gate2.tobytes()] == at_its_step
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_same_bytes_as_fresh_arrays(self, monkeypatch, dtype):
-        model, log, _ = self.traced_run(monkeypatch, dtype, reuse=True)
-        fresh_model, fresh_log, fresh_traces = self.traced_run(monkeypatch, dtype, reuse=False)
-        assert not np.shares_memory(fresh_traces[0].h1, fresh_traces[1].h1)
-        assert log.to_csv() == fresh_log.to_csv()
+    def test_same_bytes_without_the_workspace(self, monkeypatch, dtype):
+        model, log, _, _ = self.traced_run(monkeypatch, dtype)
+        alone_model, alone_log, _, _ = self.traced_run(monkeypatch, dtype, with_workspace=False)
+        assert log.to_csv() == alone_log.to_csv()
         for name, arr in model.params().items():
-            assert arr.tobytes() == getattr(fresh_model, name).tobytes()
+            assert arr.tobytes() == getattr(alone_model, name).tobytes()
 
 
 def reference_run(pos_bags, neg_bags, cfg):
