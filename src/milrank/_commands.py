@@ -6,6 +6,11 @@ file-format failure, 4 non-finite loss, 5 dimensionality mismatch,
 ``synth``, ``train`` and ``baseline-train`` can also come from an optional
 ``key=value`` config file (``--config``) that uses the flag names as keys;
 explicit flags win.
+
+A command writes only inside ``validation.output_dir(--out)`` (``baseline-train``:
+its model file's directory), so a failed command into a new path leaves nothing.
+An existing ``--out`` is written into (``score`` collects many videos in one), and
+a failure there, or a killed process, may leave partial output.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .metrics import (
 from .network import load_checkpoint, save_checkpoint
 from .optim import LOG_HEADER, PROBE_HEADER, TrainConfig, train
 from .synthetic import SynthSpec, generate
-from .validation import content_lines, csv_lines, write_lines
+from .validation import content_lines, csv_lines, output_dir, write_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -161,7 +166,8 @@ def _settings(args, flags, callees) -> list[dict]:
 
 def cmd_synth(args) -> int:
     spec, split = _settings(args, SYNTH_FLAGS, SYNTH_CALLEES)
-    dataset = generate(SynthSpec(**spec), args.out, **split)
+    with output_dir(args.out):
+        dataset = generate(SynthSpec(**spec), args.out, **split)
     print(f"wrote {len(dataset.feature_paths)} feature files, manifest, annotations, "
           f"and planted index under {dataset.out_dir}")
     return EXIT_OK
@@ -184,20 +190,15 @@ def cmd_ingest_check(args) -> int:
 def cmd_train(args) -> int:
     settings, loss = _settings(args, TRAIN_FLAGS, TRAIN_CALLEES)
     cfg = TrainConfig(loss_params=LossParams(**loss), **settings)
-
-    out_dir = Path(args.out)
     manifest = load_manifest(args.manifest, "train")
-
-    def save(iteration, snapshot_model):
-        out_dir.mkdir(parents=True, exist_ok=True)  # so a refused run leaves no directory
-        save_checkpoint(snapshot_model, out_dir / f"ckpt_{iteration}.bin")
-
-    model, log = train(manifest, cfg, snapshot_hook=save)
-    if not cfg.snapshot_every or cfg.iterations % cfg.snapshot_every:  # else the last snapshot saved it
-        save(cfg.iterations, model)
-    write_lines(out_dir / "training_log.csv", csv_lines(LOG_HEADER, log.rows))
-    if cfg.snapshot_every:
-        write_lines(out_dir / "probe_scores.csv", csv_lines(PROBE_HEADER, log.probe_rows))
+    with output_dir(args.out) as out_dir:
+        save = lambda iteration, snapshot: save_checkpoint(snapshot, out_dir / f"ckpt_{iteration}.bin")
+        model, log = train(manifest, cfg, snapshot_hook=save)
+        if not cfg.snapshot_every or cfg.iterations % cfg.snapshot_every:  # else the last snapshot saved it
+            save(cfg.iterations, model)
+        write_lines(out_dir / "training_log.csv", csv_lines(LOG_HEADER, log.rows))
+        if cfg.snapshot_every:
+            write_lines(out_dir / "probe_scores.csv", csv_lines(PROBE_HEADER, log.probe_rows))
     print(f"final loss {log.rows[-1][1]!r}")
     return EXIT_OK
 
@@ -207,11 +208,10 @@ def cmd_score(args) -> int:
     model = load_checkpoint(args.checkpoint)
     f = load_features(args.features, args.format)
     segment_scores, timeline = score_video(model, f, args.segments)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_lines(out_dir / f"{f.video_id}_segments.csv",
-                csv_lines("segment_index,score", enumerate(segment_scores.tolist())))
-    write_timeline_csv(timeline, out_dir / f"{f.video_id}_frames.csv")
+    with output_dir(args.out) as out_dir:
+        write_lines(out_dir / f"{f.video_id}_segments.csv",
+                    csv_lines("segment_index,score", enumerate(segment_scores.tolist())))
+        write_timeline_csv(timeline, out_dir / f"{f.video_id}_frames.csv")
     print(f"scored {f.video_id}: {len(segment_scores)} segments, {timeline.n_frames} frames")
     return EXIT_OK
 
@@ -228,13 +228,10 @@ def cmd_eval(args) -> int:
         scorer = lambda f: score_linear(model, f, args.segments)
     manifest = load_manifest(args.manifest, "test")
     evaluation = evaluate_manifest(manifest, scorer, m=args.segments, threshold=args.threshold)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_roc_csv(evaluation.curve, out_dir / "roc.csv")
-    timeline_dir = out_dir / "timelines"
-    timeline_dir.mkdir(exist_ok=True)
-    for timeline in evaluation.timelines:
-        write_timeline_csv(timeline, timeline_dir / f"{timeline.video_id}.csv")
+    with output_dir(args.out) as out_dir, output_dir(out_dir / "timelines") as timeline_dir:
+        write_roc_csv(evaluation.curve, out_dir / "roc.csv")
+        for timeline in evaluation.timelines:
+            write_timeline_csv(timeline, timeline_dir / f"{timeline.video_id}.csv")
     print(f"AUC {evaluation.curve.auc:.4f}")
     if evaluation.false_alarm is None:
         print("false alarm rate: n/a (no normal videos in manifest)")
@@ -246,7 +243,9 @@ def cmd_eval(args) -> int:
 def cmd_baseline_train(args) -> int:
     (fit_params,) = _settings(args, BASELINE_FLAGS, BASELINE_CALLEES)
     manifest = load_manifest(args.manifest, "train")
-    save_linear(train_linear(manifest, **fit_params), args.out)
+    model = train_linear(manifest, **fit_params)
+    with output_dir(args.out.parent):
+        save_linear(model, args.out)
     print(f"saved baseline model to {args.out}")
     return EXIT_OK
 

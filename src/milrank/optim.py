@@ -154,16 +154,6 @@ class TrainingLog:
         return "".join(f"{line}\n" for line in csv_lines(LOG_HEADER, self.rows))
 
 
-def dropout_seed(cfg_seed: int, iteration: int) -> int:
-    """Mask seed of one iteration.
-
-    One ``dropout_masks`` stream per iteration covers the whole stacked
-    batch: rows of positive bag j come first, at rows j*m..(j+1)*m-1, and
-    negative bag j follows at rows (P+j)*m..(P+j+1)*m-1.
-    """
-    return mix_to_seed(cfg_seed, iteration)
-
-
 def check_class_sizes(n_pos: int, n_neg: int, cfg: TrainConfig) -> None:
     """Raise a DataError unless each class has at least a batch of bags."""
     for kind, n, batch in (("positive", n_pos, cfg.batch_pos), ("negative", n_neg, cfg.batch_neg)):
@@ -178,7 +168,8 @@ def train_on_bags(pos_bags: list[Bag], neg_bags: list[Bag], cfg: TrainConfig,
     Every bag must have the segments' dtype of the first positive bag;
     each batch is stacked in that dtype, which layer 1 computes in.
     ``snapshot_hook(iteration, model)``, if given, fires at every
-    ``snapshot_every`` multiple.
+    ``snapshot_every`` multiple.  The loop, hooks included, ignores overflow and
+    invalid values (``np.errstate``): the score and loss checks report a diverging step.
     """
     check_class_sizes(len(pos_bags), len(neg_bags), cfg)
     dim = pos_bags[0].segments.shape[1]
@@ -200,33 +191,32 @@ def train_on_bags(pos_bags: list[Bag], neg_bags: list[Bag], cfg: TrainConfig,
     log = TrainingLog()
     X = np.empty((2 * P * m, dim), dtype)  # every batch is stacked into this one buffer
 
-    with Workspace(cfg.threads) as workspace:
+    with Workspace(cfg.threads) as workspace, np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cfg.iterations + 1):
-            # a diverging step overflows to inf or nan; the score and loss checks report it
-            with np.errstate(over="ignore", invalid="ignore"):
-                pos_idx, neg_idx = sample_pair_indices(len(pos_bags), len(neg_bags), cfg, it)
-                np.concatenate([pos_bags[i].segments for i in pos_idx]
-                               + [neg_bags[j].segments for j in neg_idx], out=X)
+            pos_idx, neg_idx = sample_pair_indices(len(pos_bags), len(neg_bags), cfg, it)
+            # positive bag j at rows j*m.., then negative bag j at (P+j)*m..; one dropout_masks stream covers all
+            np.concatenate([pos_bags[i].segments for i in pos_idx]
+                           + [neg_bags[j].segments for j in neg_idx], out=X)
 
-                mask1 = mask2 = None
-                if cfg.dropout_rate > 0.0:
-                    mask1, mask2 = dropout_masks(model, 2 * P * m, dropout_seed(cfg.seed, it))
-                scores, trace = forward_with_masks(model, X, mask1, mask2, workspace)
-                if not np.isfinite(scores).all():
-                    raise NonFiniteLossError(f"non-finite scores at iteration {it}")
-                S = scores.reshape(2 * P, m)
+            mask1 = mask2 = None
+            if cfg.dropout_rate > 0.0:
+                mask1, mask2 = dropout_masks(model, 2 * P * m, mix_to_seed(cfg.seed, it))
+            scores, trace = forward_with_masks(model, X, mask1, mask2, workspace)
+            if not np.isfinite(scores).all():
+                raise NonFiniteLossError(f"non-finite scores at iteration {it}")
+            S = scores.reshape(2 * P, m)
 
-                terms = ranking_loss_and_grad(S[:P], S[P:], lp)
-                reg = weight_decay_term(model, lp)
-                loss_value = terms.totals.sum() / P + reg
-                if not np.isfinite(loss_value):
-                    raise NonFiniteLossError(f"non-finite loss at iteration {it}")
+            terms = ranking_loss_and_grad(S[:P], S[P:], lp)
+            reg = weight_decay_term(model, lp)
+            loss_value = terms.totals.sum() / P + reg
+            if not np.isfinite(loss_value):
+                raise NonFiniteLossError(f"non-finite loss at iteration {it}")
 
-                dscores = np.concatenate((terms.grad_pos, terms.grad_neg)).ravel() / P
-                grads = backward(model, trace, dscores, workspace)
-                for name, extra in weight_decay_grads(model, lp).items():
-                    grads[name] += extra
-                model, state = adagrad_step(model, grads, state)
+            dscores = np.concatenate((terms.grad_pos, terms.grad_neg)).ravel() / P
+            grads = backward(model, trace, dscores, workspace)
+            for name, extra in weight_decay_grads(model, lp).items():
+                grads[name] += extra
+            model, state = adagrad_step(model, grads, state)
 
             log.rows.append((
                 it,

@@ -7,6 +7,8 @@ A checkpoint's header line is JSON too, written by ``write_json`` and read by
 from __future__ import annotations
 
 import json
+import shutil
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,20 @@ def write_lines(path, lines) -> None:
 def write_json(path, doc) -> None:
     """Write ``doc`` as one line of JSON, which ``read_json`` reads back."""
     write_lines(path, [json.dumps(doc)])
+
+
+@contextmanager
+def output_dir(out):
+    """Make directory ``out`` with its missing parents and yield it; if the block raises, remove what was made."""
+    out = Path(out)
+    made = next((p for p in (*reversed(out.parents), out) if not p.exists()), None)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        yield out
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
 
 
 def csv_lines(header: str, rows) -> list[str]:

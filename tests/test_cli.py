@@ -1,3 +1,4 @@
+import argparse
 import base64
 import dataclasses
 import hashlib
@@ -617,16 +618,19 @@ class TestTrain:
         assert code == 4
         assert capsys.readouterr().err == "error: non-finite scores at iteration 2\n"
 
-    def test_diverging_run_prints_one_line(self, dataset, tmp_path):
+    @pytest.mark.parametrize("snapshots", [[], ["--snapshot-every", "1"]], ids=["no-snapshots", "snapshots"])
+    def test_diverging_run_prints_one_line(self, dataset, tmp_path, snapshots):
         # numpy's overflow and invalid-value warnings stay off stderr, in a
-        # fresh interpreter with its default warning filters
+        # fresh interpreter with its default warning filters, also while the
+        # snapshot hook scores the probe of a diverging model
         src = os.path.dirname(os.path.dirname(_commands.__file__))
         proc = subprocess.run(
             [sys.executable, "-m", "milrank.cli", "train", "--manifest", str(dataset / "manifest.txt"),
-             "--out", str(tmp_path / "run"), *self.DIVERGING],
+             "--out", str(tmp_path / "run"), *self.DIVERGING, *snapshots],
             capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 4
         assert proc.stderr == "error: non-finite scores at iteration 2\n"
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("snapshots, error", [
         ([], "a probe video needs snapshot_every > 0"),
@@ -869,6 +873,13 @@ class TestBaselineCommands:
         assert "AUC" in capsys.readouterr().out
         assert (out / "roc.csv").is_file()
 
+    def test_train_makes_missing_parents(self, dataset, tmp_path, capsys):
+        model_path = tmp_path / "nodir" / "b.json"
+        assert main(["baseline-train", "--manifest", str(dataset / "manifest.txt"),
+                     "--out", str(model_path), "--epochs", "5"]) == 0
+        assert capsys.readouterr().out == f"saved baseline model to {model_path}\n"
+        assert json.loads(model_path.read_text())["c_reg"] == 1.0
+
     @pytest.mark.parametrize("flag, value, rule", [
         ("--c-reg", "nan", "c_reg must be positive"),
         ("--c-reg", "inf", "c_reg must be positive"),
@@ -881,6 +892,77 @@ class TestBaselineCommands:
                      "--out", str(model_path), "--epochs", "5", flag, value]) == 2
         assert capsys.readouterr().err == f"error: {rule} and finite, got {value}\n"
         assert not model_path.exists()
+
+
+def writes_then_fails(real):
+    """``real``, made to raise OSError after it has written its file."""
+    def writer(*args):
+        real(*args)
+        raise OSError("disk full")
+    return writer
+
+
+class TestOutputDir:
+    """Every command that writes makes ``--out`` and its missing parents
+    (``baseline-train``: its model file's directory), and removes what it made
+    when it fails after its first output file."""
+
+    # command: (flags that make it fail, or the writer of ``_commands`` made to fail, exit code)
+    FAILURES = {
+        "synth": (["--pos", "4", "--neg", "4", "--seed", "1", "--noise-sigma", "1e38"], None, 2),
+        "train": (["--lr", "1e308", "--snapshot-every", "1"], None, 4),
+        "score": ([], "write_timeline_csv", 3),
+        "eval": ([], "write_timeline_csv", 3),
+        "baseline-eval": ([], "write_timeline_csv", 3),
+        "baseline-train": ([], "save_linear", 3),
+    }
+
+    @pytest.fixture
+    def argv(self, dataset, tmp_path):
+        """A succeeding call of each writing command whose output goes into directory ``out``."""
+        ckpt, linear = tmp_path / "m.bin", tmp_path / "linear.json"
+        save_checkpoint(init_model(8, seed=6, hidden1=16, hidden2=4), ckpt)
+        linear.write_text(json.dumps({"w": [0.5] * 8, "b": 0.0, "c_reg": 1.0}))
+        test = ["--manifest", str(dataset / "manifest_test.txt"), "--segments", "8"]
+        return lambda command, out: {
+            "synth": synth_args(out),
+            "train": ["train", "--manifest", str(dataset / "manifest.txt"), "--out", str(out),
+                      "--iters", "5", "--batch", "3", "--segments", "8", "--hidden1", "16",
+                      "--hidden2", "4", "--snapshot-every", "2"],
+            "score": ["score", "--checkpoint", str(ckpt), "--features",
+                      str(dataset / "features" / "pos000.feat"), "--segments", "8", "--out", str(out)],
+            "eval": ["eval", "--checkpoint", str(ckpt), *test, "--out", str(out)],
+            "baseline-eval": ["baseline-eval", "--model", str(linear), *test, "--out", str(out)],
+            "baseline-train": ["baseline-train", "--manifest", str(dataset / "manifest.txt"),
+                               "--epochs", "5", "--out", str(out / "model.json")],
+        }[command]
+
+    @pytest.mark.parametrize("command", FAILURES)
+    def test_failure_leaves_no_directory(self, argv, tmp_path, monkeypatch, capsys, command):
+        flags, writer, code = self.FAILURES[command]
+        if writer is not None:
+            monkeypatch.setattr(_commands, writer, writes_then_fails(getattr(_commands, writer)))
+        assert main([*argv(command, tmp_path / "a" / "b" / "out"), *flags]) == code
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("command", FAILURES)
+    def test_existing_out_keeps_its_files(self, argv, tmp_path, command):
+        fresh, used = tmp_path / "fresh", tmp_path / "used"
+        used.mkdir()
+        (used / "notes.txt").write_text("kept\n")
+        assert main(argv(command, fresh)) == 0
+        assert main(argv(command, used)) == 0
+        assert (used / "notes.txt").read_text() == "kept\n"
+        (used / "notes.txt").unlink()
+        assert tree_digest(used) == tree_digest(fresh)
+
+    def test_every_writing_command_is_covered(self):
+        sub = next(action for action in _commands.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        writing = {name for name, p in sub.choices.items()
+                   if any("--out" in action.option_strings for action in p._actions)}
+        assert writing == set(self.FAILURES)
 
 
 class TestBaselineCheckpoint:

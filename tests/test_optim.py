@@ -16,11 +16,11 @@ from milrank.optim import (
     AdagradState,
     TrainConfig,
     adagrad_step,
-    dropout_seed,
     sample_pair_indices,
     train,
     train_on_bags,
 )
+from milrank.rng import mix_to_seed
 from milrank.synthetic import SynthSpec, generate
 from milrank.validation import csv_lines, write_lines
 
@@ -316,7 +316,7 @@ def reference_run(pos_bags, neg_bags, cfg):
         pos_idx, neg_idx = sample_pair_indices(len(pos_bags), len(neg_bags), cfg, it)
         X = np.concatenate([pos_bags[i].segments for i in pos_idx]
                            + [neg_bags[j].segments for j in neg_idx])
-        mask1, mask2 = dropout_masks(model, 2 * P * m, dropout_seed(cfg.seed, it))
+        mask1, mask2 = dropout_masks(model, 2 * P * m, mix_to_seed(cfg.seed, it))
         scores, trace = forward_with_masks(model, X, mask1, mask2)
         pairs, dscores = oracle_batch(scores.reshape(2 * P, m), lp)
         reg = weight_decay_term(model, lp)
@@ -365,11 +365,11 @@ class TestVectorisedStep:
         monkeypatch.setattr(optim_module, "dropout_masks", counted)
         train_on_bags(pos, neg, cfg)
         rows = 2 * cfg.batch_pos * cfg.segments_per_bag
-        assert calls == [(rows, dropout_seed(cfg.seed, it)) for it in (1, 2, 3)]
+        assert calls == [(rows, mix_to_seed(cfg.seed, it)) for it in (1, 2, 3)]
 
     def test_keep_rate_within_four_sigma(self):
         model = init_model(4, seed=0, hidden1=512, hidden2=32, dropout_rate=0.6)
-        mask1, mask2 = dropout_masks(model, 2000, rng_seed=dropout_seed(5, 1))
+        mask1, mask2 = dropout_masks(model, 2000, rng_seed=mix_to_seed(5, 1))
         draws = np.concatenate([mask1.ravel(), mask2.ravel()])
         assert draws.size >= 10**6
         keep = 0.4

@@ -1,10 +1,12 @@
-"""The one text writer: line endings, JSON, and the number format of every CSV."""
+"""The one text writer: line endings, JSON, the number format of every CSV,
+and the output directory every command writes into."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from milrank.validation import csv_lines, read_json, read_text, write_json, write_lines
+from milrank.validation import csv_lines, output_dir, read_json, read_text, write_json, write_lines
 
 
 class TestCsvLines:
@@ -39,3 +41,29 @@ class TestWriters:
         write_json(path, doc)
         assert read_text(path).count("\n") == 1
         assert read_json(path) == doc
+
+
+class TestOutputDir:
+    def test_makes_parents_and_removes_them_on_failure(self, tmp_path):
+        with pytest.raises(KeyboardInterrupt):
+            with output_dir(tmp_path / "a" / "b" / "out") as out:
+                assert out.is_dir()
+                write_lines(out / "part.txt", ["x"])
+                raise KeyboardInterrupt
+        assert list(tmp_path.iterdir()) == []
+
+    def test_existing_directory_is_kept(self, tmp_path):
+        (tmp_path / "old.txt").write_text("kept")
+        with pytest.raises(OSError):
+            with output_dir(tmp_path):
+                write_lines(tmp_path / "part.txt", ["x"])
+                raise OSError("disk full")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt", "part.txt"]
+
+    def test_file_in_the_way_is_os_error(self, tmp_path):
+        (tmp_path / "f").write_text("")
+        for out in (tmp_path / "f", tmp_path / "f" / "out"):
+            with pytest.raises(OSError):
+                with output_dir(out):
+                    pass
+        assert [p.name for p in tmp_path.iterdir()] == ["f"]
