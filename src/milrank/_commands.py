@@ -10,7 +10,7 @@ explicit flags win.
 A command writes only inside ``validation.output_dir(--out)`` (``baseline-train``:
 its model file's directory), so a failed command into a new path leaves nothing.
 An existing ``--out`` is written into (``score`` collects many videos in one), and
-a failure there, or a killed process, may leave partial output.
+a failure there, an interrupt (Ctrl-C) or a killed process may leave partial output.
 """
 
 from __future__ import annotations

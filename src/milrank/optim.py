@@ -165,11 +165,10 @@ def train_on_bags(pos_bags: list[Bag], neg_bags: list[Bag], cfg: TrainConfig,
                   snapshot_hook=None) -> tuple[MlpModel, TrainingLog]:
     """Run the training loop over in-memory bags; the log holds no probe rows.
 
-    Every bag must have the segments' dtype of the first positive bag;
-    each batch is stacked in that dtype, which layer 1 computes in.
-    ``snapshot_hook(iteration, model)``, if given, fires at every
-    ``snapshot_every`` multiple.  The loop, hooks included, ignores overflow and
-    invalid values (``np.errstate``): the score and loss checks report a diverging step.
+    Every bag must have the segments' dtype of the first positive bag; each batch is stacked in
+    that dtype, which layer 1 computes in.  ``snapshot_hook(iteration, model)``, if given, fires at
+    every ``snapshot_every`` multiple.  The loop, hooks included, ignores overflow and invalid
+    values (``np.errstate``): the score and loss checks report a diverging step.
     """
     check_class_sizes(len(pos_bags), len(neg_bags), cfg)
     dim = pos_bags[0].segments.shape[1]

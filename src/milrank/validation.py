@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import shutil
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -49,15 +49,16 @@ def write_json(path, doc) -> None:
 
 @contextmanager
 def output_dir(out):
-    """Make directory ``out`` with its missing parents and yield it; if the block raises, remove what was made."""
+    """Yield ``out``, made with missing parents; an Exception removes what this made (a parent only if empty)."""
     out = Path(out)
-    made = next((p for p in (*reversed(out.parents), out) if not p.exists()), None)
+    made = [p for p in (out, *out.parents) if not p.exists()]  # out first, then its parents
     try:
         out.mkdir(parents=True, exist_ok=True)
         yield out
-    except BaseException:
-        if made is not None:
-            shutil.rmtree(made, ignore_errors=True)
+    except Exception:  # an interrupt keeps what was written
+        for path in made:  # a parent another command wrote into meanwhile is kept
+            with suppress(OSError):
+                shutil.rmtree(path) if path == out else path.rmdir()
         raise
 
 

@@ -957,6 +957,30 @@ class TestOutputDir:
         (used / "notes.txt").unlink()
         assert tree_digest(used) == tree_digest(fresh)
 
+    def test_failure_keeps_a_sibling_written_meanwhile(self, argv, tmp_path, monkeypatch):
+        # another command writes beside --out, under a parent this train made
+        sibling = tmp_path / "a" / "eval" / "roc.csv"
+
+        def write_lines(*args):
+            sibling.parent.mkdir()
+            sibling.write_text("kept\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(_commands, "write_lines", write_lines)
+        assert main(argv("train", tmp_path / "a" / "b" / "out")) == 3
+        assert [p.name for p in (tmp_path / "a").iterdir()] == ["eval"]
+        assert sibling.read_text() == "kept\n"
+
+    def test_interrupted_train_keeps_its_snapshots(self, argv, tmp_path, monkeypatch):
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(_commands, "write_lines", interrupt)  # Ctrl-C after the last snapshot
+        with pytest.raises(KeyboardInterrupt):
+            main(argv("train", tmp_path / "a" / "out"))
+        assert sorted(p.name for p in (tmp_path / "a" / "out").iterdir()) == [
+            "ckpt_2.bin", "ckpt_4.bin", "ckpt_5.bin"]
+
     def test_every_writing_command_is_covered(self):
         sub = next(action for action in _commands.build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction))

@@ -45,12 +45,29 @@ class TestWriters:
 
 class TestOutputDir:
     def test_makes_parents_and_removes_them_on_failure(self, tmp_path):
-        with pytest.raises(KeyboardInterrupt):
+        with pytest.raises(OSError):
             with output_dir(tmp_path / "a" / "b" / "out") as out:
                 assert out.is_dir()
                 write_lines(out / "part.txt", ["x"])
-                raise KeyboardInterrupt
+                raise OSError("disk full")
         assert list(tmp_path.iterdir()) == []
+
+    def test_keeps_what_another_command_wrote_into_a_made_parent(self, tmp_path):
+        # another command writes beside ``out`` while the block runs
+        with pytest.raises(OSError):
+            with output_dir(tmp_path / "a" / "b" / "out") as out:
+                write_lines(out / "part.txt", ["x"])
+                write_lines(tmp_path / "a" / "other.txt", ["kept"])
+                raise OSError("disk full")
+        assert [p.name for p in tmp_path.iterdir()] == ["a"]
+        assert [p.name for p in (tmp_path / "a").iterdir()] == ["other.txt"]
+
+    def test_interrupt_keeps_what_was_written(self, tmp_path):
+        with pytest.raises(KeyboardInterrupt):
+            with output_dir(tmp_path / "a" / "out") as out:
+                write_lines(out / "part.txt", ["x"])
+                raise KeyboardInterrupt
+        assert read_text(tmp_path / "a" / "out" / "part.txt") == "x\n"
 
     def test_existing_directory_is_kept(self, tmp_path):
         (tmp_path / "old.txt").write_text("kept")
